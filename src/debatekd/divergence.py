@@ -1,11 +1,17 @@
 """Forward KL, reverse KL, and JSD over categorical distributions.
 
-Each divergence comes with its closed-form gradient with respect to the
-student's pre-softmax logits (the teacher is a fixed target: gradients flow
-only through the student), a central-finite-difference oracle, and two
-probes that stress the boundedness results: the JSD loss/gradient ceilings
-and the reverse-KL blow-up as teacher mass vanishes on student-supported
-tokens.
+Each divergence is implemented once, in the array-native kernel `batch`:
+given (N, V) teacher rows and student-probability rows it returns the
+per-row values and, on request, the closed-form gradients with respect to
+the student's pre-softmax logits (the teacher is a fixed target: gradients
+flow only through the student). Everything else wraps it: the scalar
+`divergence_value` and `logit_gradient`, which take validated
+`Distribution`/`LogitVector` values; a central-finite-difference oracle
+that evaluates all 2V stencil rows in one call; and two probes that stress
+the boundedness results, the JSD loss/gradient ceilings and the reverse-KL
+blow-up as teacher mass vanishes on student-supported tokens. Row sums and
+row dot products reduce each row as the one-row numpy call would, so a
+stacked call is bit-identical to one call per row.
 
 Conventions: natural logs, 0*log(0) := 0, and the reverse direction is
 defined as rev(p||q) := KL(q||p). Infinite losses are reported as a genuine
@@ -15,13 +21,14 @@ teacher targets (simplex.floor_and_renormalize) to stay finite.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simplex import Distribution, LogitVector, softmax
+from .simplex import Distribution, LogitVector, softmax_rows, validate_logits, validate_probs
 
 #: Loose headline ceiling on the JSD logit gradient inf-norm.
 JSD_GRAD_HEADLINE_BOUND = 2.0
@@ -88,18 +95,88 @@ class GradientReport:
         return math.isfinite(self.value) and bool(np.all(np.isfinite(self.logit_grad)))
 
 
-def _check_same_vocab(p: Distribution, q: Distribution) -> None:
-    if p.vocab_size != q.vocab_size:
-        raise ValueError(f"vocab mismatch: {p.vocab_size} vs {q.vocab_size}")
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row dot products; stacked matmul reduces each row as np.dot does."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _kl(a: np.ndarray, b: np.ndarray) -> float:
-    """KL(a||b) with 0*log(0)=0; +inf when a charges a b-null token."""
+def _inf_norms(g: np.ndarray) -> np.ndarray:
+    """Row-wise max |g|."""
+    with np.errstate(invalid="ignore"):
+        return np.max(np.abs(g), axis=-1)
+
+
+def _kl_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise KL(a||b) with 0*log(0)=0; +inf where a charges a b-null token.
+
+    A row with zeros sums only its a-positive terms, so it rounds exactly as
+    np.sum(row[a > 0]) does.
+    """
     pos = a > 0
-    if np.any(b[pos] == 0):
-        return math.inf
-    val = float(np.sum(a[pos] * np.log(a[pos] / b[pos])))
-    return max(val, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = a * np.log(a / b)
+    out = terms.sum(axis=-1)
+    if not (pos.all() and b.all()):
+        for i in np.flatnonzero(~pos.all(axis=-1)):
+            out[i] = terms[i][pos[i]].sum()
+        out[(pos & (b == 0)).any(axis=-1)] = math.inf
+    return np.maximum(out, 0.0)
+
+
+def batch(
+    kind: DivergenceKind, P: np.ndarray, Q: np.ndarray, grad: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Divergence of teacher rows P from student rows Q, one value per row.
+
+    P and Q are (N, V) probability arrays; with grad, Q is a softmax output
+    and so strictly positive. Returns the N values and, with grad, the
+    (N, V) gradients in the student's logits (else None). Inputs are not
+    validated beyond a matching vocabulary: the wrappers check them at the
+    API edge.
+
+    Forward KL's gradient collapses to q - p. Reverse KL's is
+    sum_v q(v) (delta_iv - q(i)) log(q(v)/p(v)), which diverges as teacher
+    mass on a student-supported token goes to zero; an exact teacher zero
+    gives value +inf and +inf/-inf entries, so callers that want finite
+    output floor p first. JSD combines the two mixture-KL terms via the
+    softmax Jacobian and is uniformly bounded.
+    """
+    if P.shape[-1] != Q.shape[-1]:
+        raise ValueError(f"vocab mismatch: {P.shape[-1]} vs {Q.shape[-1]}")
+    if kind.name == "forward_kl":
+        return _kl_rows(P, Q), (Q - P if grad else None)
+
+    if kind.name == "reverse_kl":
+        if not grad:
+            return _kl_rows(Q, P), None
+        # With the gradient, the value is the gradient's own E_q[log q/p].
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.log(Q / P)
+            total = _row_dot(Q, t)
+            g = Q * (t - total[:, None])
+        values = np.maximum(total, 0.0)
+        if not P.all():
+            # q is strictly positive, so any exact teacher zero blows up:
+            # +inf on the missing tokens, -inf everywhere else.
+            zero = (P == 0).any(axis=-1)
+            values[zero] = math.inf
+            g[zero] = np.where(P[zero] == 0, math.inf, -math.inf)
+        return values, g
+
+    beta = kind.beta
+    m = beta * P + (1 - beta) * Q
+    values = beta * _kl_rows(P, m) + (1 - beta) * _kl_rows(Q, m)
+    # identity holds exactly; the mixture would round otherwise
+    values[(P == Q).all(axis=-1)] = 0.0
+    if not grad:
+        return values, None
+    r = P * Q / m
+    grad_p_term = -(1 - beta) * (r - Q * r.sum(axis=-1, keepdims=True))
+    ell = np.log(Q / m)
+    x = Q * (ell - _row_dot(Q, ell)[:, None])
+    s = Q * Q / m
+    y = (1 - beta) * (s - Q * s.sum(axis=-1, keepdims=True))
+    return values, beta * grad_p_term + (1 - beta) * (x - y)
 
 
 def divergence_value(kind: DivergenceKind, p: Distribution, q: Distribution) -> float:
@@ -108,64 +185,14 @@ def divergence_value(kind: DivergenceKind, p: Distribution, q: Distribution) -> 
     Returns +inf for forward KL when q misses p-support, and for reverse KL
     when p misses q-support. JSD is always finite and at most H(beta).
     """
-    _check_same_vocab(p, q)
-    if kind.name == "forward_kl":
-        return _kl(p.probs, q.probs)
-    if kind.name == "reverse_kl":
-        return _kl(q.probs, p.probs)
-    if np.array_equal(p.probs, q.probs):
-        return 0.0  # identity holds exactly; the mixture would round otherwise
-    beta = kind.beta
-    m = beta * p.probs + (1 - beta) * q.probs
-    return beta * _kl(p.probs, m) + (1 - beta) * _kl(q.probs, m)
-
-
-def _report(value: float, grad: np.ndarray) -> GradientReport:
-    grad = np.asarray(grad, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        inf_norm = float(np.max(np.abs(grad)))
-    return GradientReport(value=value, logit_grad=grad, inf_norm=inf_norm)
+    return float(batch(kind, p.probs[None], q.probs[None], grad=False)[0][0])
 
 
 def logit_gradient(kind: DivergenceKind, p: Distribution, z: LogitVector) -> GradientReport:
-    """Closed-form gradient of divergence(p, softmax(z)) in the logits z.
-
-    Forward KL collapses to q - p. Reverse KL yields
-    sum_v q(v) (delta_iv - q(i)) log(q(v)/p(v)), which diverges as teacher
-    mass on a student-supported token goes to zero; with exact zeros the
-    report carries +/-inf entries and the caller is expected to have floored
-    p if it wanted finite output. JSD combines the two mixture-KL terms via
-    the softmax Jacobian and is uniformly bounded.
-    """
-    if p.vocab_size != z.vocab_size:
-        raise ValueError(f"vocab mismatch: {p.vocab_size} vs {z.vocab_size}")
-    q = softmax(z).probs
-    pv = p.probs
-
-    if kind.name == "forward_kl":
-        return _report(_kl(pv, q), q - pv)
-
-    if kind.name == "reverse_kl":
-        if np.any(pv == 0):
-            # q is strictly positive, so any exact teacher zero blows up:
-            # +inf on the missing tokens, -inf everywhere else.
-            grad = np.where(pv == 0, math.inf, -math.inf)
-            return _report(math.inf, grad)
-        t = np.log(q / pv)
-        total = float(np.dot(q, t))
-        return _report(max(total, 0.0), q * (t - total))
-
-    beta = kind.beta
-    m = beta * pv + (1 - beta) * q  # strictly positive: q > 0 everywhere
-    r = pv * q / m
-    grad_p_term = -(1 - beta) * (r - q * r.sum())
-    ell = np.log(q / m)
-    x = q * (ell - float(np.dot(q, ell)))
-    s = q * q / m
-    y = (1 - beta) * (s - q * s.sum())
-    grad = beta * grad_p_term + (1 - beta) * (x - y)
-    value = beta * _kl(pv, m) + (1 - beta) * _kl(q, m)
-    return _report(value, grad)
+    """Closed-form gradient of divergence(p, softmax(z)) in the logits z;
+    see `batch` for the per-kind forms."""
+    values, g = batch(kind, p.probs[None], softmax_rows(z.logits[None]))
+    return GradientReport(float(values[0]), g[0], float(_inf_norms(g)[0]))
 
 
 def finite_difference_gradient(
@@ -178,20 +205,14 @@ def finite_difference_gradient(
     """
     if not 1e-8 <= h <= 1e-4:
         raise ValueError(f"h must lie in [1e-8, 1e-4], got {h}")
-    base = z.logits
-    grad = np.empty(base.size)
-    for i in range(base.size):
-        zp = base.copy()
-        zp[i] += h
-        zm = base.copy()
-        zm[i] -= h
-        fp = divergence_value(kind, p, softmax(LogitVector(zp)))
-        fm = divergence_value(kind, p, softmax(LogitVector(zm)))
-        if math.isfinite(fp) and math.isfinite(fm):
-            grad[i] = (fp - fm) / (2 * h)
-        else:
-            grad[i] = math.nan
-    return grad
+    vocab = z.vocab_size
+    # rows: +h on coordinate i, then -h on coordinate i
+    stencil = z.logits + h * np.concatenate([np.eye(vocab), -np.eye(vocab)])
+    validate_logits(stencil)
+    values, _ = batch(kind, np.tile(p.probs, (2 * vocab, 1)), softmax_rows(stencil), grad=False)
+    fp, fm = values[:vocab], values[vocab:]
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isfinite(fp) & np.isfinite(fm), (fp - fm) / (2 * h), math.nan)
 
 
 @dataclass
@@ -211,21 +232,7 @@ class BoundProbeReport:
     witness_grad: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "kind": "jsd",
-            "beta": self.beta,
-            "n_trials": self.n_trials,
-            "vocab_sizes": self.vocab_sizes,
-            "max_loss": self.max_loss,
-            "max_inf_norm": self.max_inf_norm,
-            "max_fwd_inf_norm": self.max_fwd_inf_norm,
-            "loss_bound": self.loss_bound,
-            "grad_bound_tight": self.grad_bound_tight,
-            "grad_bound_headline": self.grad_bound_headline,
-            "witness_loss": self.witness_loss,
-            "witness_grad": self.witness_grad,
-        }
-        return json.dumps(payload, indent=2)
+        return json.dumps({"kind": "jsd", **dataclasses.asdict(self)}, indent=2)
 
 
 def _adversarial_pair(vocab: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -274,54 +281,59 @@ def jsd_bound_probe(
     Tracks the maximum observed loss, JSD gradient inf-norm, and forward-KL
     gradient inf-norm, together with the witness pairs that attained them.
     The disjoint point-mass pair (which attains the loss sup exactly) is
-    always included.
+    always included. Pairs are drawn one trial at a time, vocabularies
+    cycling, and evaluated one vocabulary at a time; a witness is the first
+    maximum in scan order, every point-mass pair before the first trial.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     kind = jsd_kind(beta)
-    max_loss, max_grad, max_fwd = -1.0, -1.0, -1.0
-    wit_loss: dict = {}
-    wit_grad: dict = {}
+    vocab_sizes = [int(v) for v in vocab_sizes]
+    n_vocabs = len(vocab_sizes)
+    # Trial t draws at vocabulary k = t % n_vocabs into row t // n_vocabs of
+    # block k, whose two planes hold the p and q rows.
+    blocks = [
+        np.empty((2, len(range(k, n_trials, n_vocabs)), v)) for k, v in enumerate(vocab_sizes)
+    ]
+    draws = (_adversarial_pair, _random_pair, _spike_pair, _random_pair)
+    for t in range(n_trials):
+        k = t % n_vocabs
+        blocks[k][:, t // n_vocabs] = draws[t % 4](vocab_sizes[k], rng)
 
-    for v in vocab_sizes:
-        pm0 = Distribution.point_mass(0, v)
-        pm1 = Distribution.point_mass(1, v)
-        loss = divergence_value(kind, pm0, pm1)
-        if loss > max_loss:
-            max_loss = loss
-            wit_loss = {"vocab": v, "p": pm0.probs.tolist(), "q": pm1.probs.tolist()}
+    # Scan order: the point-mass pair of each vocabulary, then the trials.
+    losses = np.empty(n_vocabs + n_trials)
+    for k, v in enumerate(vocab_sizes):
+        pm = np.eye(2, v)
+        losses[k] = batch(kind, pm[:1], pm[1:], grad=False)[0][0]
+    grad_norms, fwd_norms = np.empty(n_trials), np.empty(n_trials)
+    for k, (p, q) in enumerate(blocks[:n_trials]):
+        trials = slice(k, n_trials, n_vocabs)
+        validate_probs(p)
+        validate_probs(q)
+        z = np.log(q)
+        validate_logits(z)
+        q_soft = softmax_rows(z)
+        losses[n_vocabs:][trials] = batch(kind, p, q, grad=False)[0]
+        grad_norms[trials] = _inf_norms(batch(kind, p, q_soft)[1])
+        fwd_norms[trials] = _inf_norms(batch(FORWARD_KL, p, q_soft)[1])
 
-    for trial in range(n_trials):
-        v = int(vocab_sizes[trial % len(vocab_sizes)])
-        if trial % 4 == 0:
-            p, q = _adversarial_pair(v, rng)
-        elif trial % 4 == 2:
-            p, q = _spike_pair(v, rng)
-        else:
-            p, q = _random_pair(v, rng)
-        pd, qd = Distribution(p), Distribution(q)
-        loss = divergence_value(kind, pd, qd)
-        if loss > max_loss:
-            max_loss = loss
-            wit_loss = {"vocab": v, "p": p.tolist(), "q": q.tolist()}
-        z = LogitVector(np.log(q))
-        rep = logit_gradient(kind, pd, z)
-        if rep.inf_norm > max_grad:
-            max_grad = rep.inf_norm
-            wit_grad = {"vocab": v, "p": p.tolist(), "q": q.tolist()}
-        fwd_norm = float(np.max(np.abs(softmax(z).probs - p)))
-        max_fwd = max(max_fwd, fwd_norm)
+    def witness(k: int) -> dict:
+        v = vocab_sizes[k % n_vocabs]
+        t = k - n_vocabs
+        p, q = np.eye(2, v) if t < 0 else blocks[t % n_vocabs][:, t // n_vocabs]
+        return {"vocab": v, "p": p.tolist(), "q": q.tolist()}
 
+    i, j = int(np.argmax(losses)), int(np.argmax(grad_norms))
     return BoundProbeReport(
         beta=beta,
         n_trials=n_trials,
-        vocab_sizes=[int(v) for v in vocab_sizes],
-        max_loss=max_loss,
-        max_inf_norm=max_grad,
-        max_fwd_inf_norm=max_fwd,
+        vocab_sizes=vocab_sizes,
+        max_loss=float(losses[i]),
+        max_inf_norm=float(grad_norms[j]),
+        max_fwd_inf_norm=float(np.max(fwd_norms)),
         loss_bound=jsd_loss_bound(beta),
-        witness_loss=wit_loss,
-        witness_grad=wit_grad,
+        witness_loss=witness(i),
+        witness_grad=witness(n_vocabs + j),
     )
 
 
@@ -332,13 +344,11 @@ def revkl_unboundedness_probe(deltas: list[float], vocab_size: int = 2) -> dict[
     remaining tokens) against a uniform student; the gradient inf-norm grows
     like log(1/delta) as delta shrinks. Returns {delta: inf_norm}.
     """
-    out: dict[float, float] = {}
-    z = LogitVector(np.zeros(vocab_size))
     for delta in deltas:
         if not 0 < delta <= 0.5:
             raise ValueError(f"delta must lie in (0, 0.5], got {delta}")
-        p = np.full(vocab_size, (1 - delta) / (vocab_size - 1))
-        p[0] = delta
-        rep = logit_gradient(REVERSE_KL, Distribution(p), z)
-        out[float(delta)] = rep.inf_norm
-    return out
+    d = np.asarray(deltas, dtype=np.float64)[:, None]
+    p = np.where(np.arange(vocab_size) == 0, d, (1 - d) / (vocab_size - 1))
+    validate_probs(p)
+    norms = _inf_norms(batch(REVERSE_KL, p, softmax_rows(np.zeros_like(p)))[1])
+    return {float(delta): float(n) for delta, n in zip(d[:, 0], norms)}

@@ -86,6 +86,25 @@ class RunConfig:
 
         if self.fixture not in FIXTURES:
             raise ConfigError(f"fixture must be one of {sorted(FIXTURES)}, got {self.fixture!r}")
+        if self.experiment == "opad":
+            try:
+                self.train_config()
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+
+    def train_config(self):
+        """The training hyperparameters of an opad run."""
+        from .training import TrainConfig
+
+        return TrainConfig(
+            kind=self.kind,
+            rounds=self.rounds,
+            iterations=self.iterations,
+            eta=self.eta,
+            eps=self.eps,
+            tau_conf=self.conf_temperature,
+            seed=self.seed,
+        )
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -296,7 +315,7 @@ def _run_debate_demo(config: RunConfig, out: Path) -> dict:
 
 def _run_opad(config: RunConfig, out: Path) -> dict:
     from .fixtures import build_fixture
-    from .training import TrainConfig, train
+    from .training import train
 
     kwargs = {}
     if config.fixture == "complementary":
@@ -312,16 +331,7 @@ def _run_opad(config: RunConfig, out: Path) -> dict:
     world = fixture.world
     if config.max_steps != world.max_steps:
         world = dataclasses.replace(world, max_steps=config.max_steps)
-    train_config = TrainConfig(
-        kind=config.kind,
-        rounds=config.rounds,
-        iterations=config.iterations,
-        eta=config.eta,
-        eps=config.eps,
-        tau_conf=config.conf_temperature,
-        seed=config.seed,
-    )
-    result = train(world, list(fixture.teachers), train_config)
+    result = train(world, list(fixture.teachers), config.train_config())
     write_csv(
         out / "metrics.csv",
         ["iter", "step", "token", "kind", "loss", "grad_inf", "acc"],

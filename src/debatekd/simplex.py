@@ -35,13 +35,7 @@ class Distribution:
             raise ValueError(f"probs must be 1-d, got shape {probs.shape}")
         if probs.size < 2:
             raise ValueError(f"vocab_size must be >= 2, got {probs.size}")
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("probs contain non-finite entries")
-        if np.any(probs < 0):
-            raise ValueError(f"negative probability entry: min={probs.min()}")
-        total = float(probs.sum())
-        if abs(total - 1.0) > _PROB_SUM_TOL:
-            raise ValueError(f"probs sum to {total}, expected 1 within {_PROB_SUM_TOL}")
+        validate_probs(probs)
         probs = probs.copy()
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
@@ -82,14 +76,7 @@ class LogitVector:
             raise ValueError(f"logits must be 1-d, got shape {logits.shape}")
         if logits.size < 2:
             raise ValueError(f"vocab_size must be >= 2, got {logits.size}")
-        if not np.all(np.isfinite(logits)):
-            raise ValueError("logits contain non-finite entries")
-        spread = float(logits.max() - logits.min())
-        if spread > _MAX_LOGIT_SPREAD:
-            raise ValueError(
-                f"logit spread {spread:.1f} exceeds {_MAX_LOGIT_SPREAD}; "
-                "softmax would underflow to exact zero"
-            )
+        validate_logits(logits)
         logits = logits.copy()
         logits.flags.writeable = False
         object.__setattr__(self, "logits", logits)
@@ -99,16 +86,42 @@ class LogitVector:
         return self.logits.size
 
 
+def validate_probs(probs: np.ndarray) -> None:
+    """Raise ValueError unless every row (last axis) lies on the simplex:
+    finite, non-negative entries summing to 1 within 1e-9."""
+    if not np.isfinite(probs).all():
+        raise ValueError("probs contain non-finite entries")
+    if (probs < 0).any():
+        raise ValueError(f"negative probability entry: min={probs.min()}")
+    totals = probs.sum(axis=-1)
+    bad = abs(totals - 1.0) > _PROB_SUM_TOL
+    if bad.any():
+        total = float(np.extract(bad, totals)[0])
+        raise ValueError(f"probs sum to {total}, expected 1 within {_PROB_SUM_TOL}")
+
+
+def validate_logits(logits: np.ndarray) -> None:
+    """Raise ValueError unless every row (last axis) is finite with a spread
+    small enough that its softmax stays strictly positive."""
+    if not np.isfinite(logits).all():
+        raise ValueError("logits contain non-finite entries")
+    spread = float((logits.max(axis=-1) - logits.min(axis=-1)).max())
+    if spread > _MAX_LOGIT_SPREAD:
+        raise ValueError(
+            f"logit spread {spread:.1f} exceeds {_MAX_LOGIT_SPREAD}; "
+            "softmax would underflow to exact zero"
+        )
+
+
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Softmax of every row (last axis) with max-subtraction; unvalidated."""
+    expz = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return expz / expz.sum(axis=-1, keepdims=True)
+
+
 def softmax(z: LogitVector) -> Distribution:
     """Softmax with max-subtraction; shift invariant and strictly positive."""
-    shifted = z.logits - z.logits.max()
-    expz = np.exp(shifted)
-    return Distribution(expz / expz.sum())
-
-
-def log_softmax(z: LogitVector) -> np.ndarray:
-    shifted = z.logits - z.logits.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    return Distribution(softmax_rows(z.logits))
 
 
 def xlogx(x: np.ndarray) -> np.ndarray:

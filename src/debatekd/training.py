@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .debate import DebateResult, Teacher, run_debate
+from .debate import Teacher, run_debate
 from .divergence import DivergenceKind
 from .simplex import (
     DEFAULT_FLOOR,
@@ -56,7 +55,7 @@ class ToolWorld:
     correct_action gives the canonical answer per state; accepted_actions
     optionally widens it to a set of equally valid answers (defaults to the
     singleton), which is what makes multi-strategy worlds expressible.
-    The transition ignores the action by default (cyclic increment).
+    The transition ignores the action: states advance cyclically.
     """
 
     n_states: int
@@ -64,7 +63,6 @@ class ToolWorld:
     n_args: int
     correct_action: dict[int, Action]
     accepted_actions: dict[int, frozenset[Action]] | None = None
-    transition: Callable[[int, Action], int] | None = None
     max_steps: int = 4
 
     def __post_init__(self):
@@ -83,8 +81,6 @@ class ToolWorld:
         return frozenset({self.correct_action[state]})
 
     def next_state(self, state: int, action: Action) -> int:
-        if self.transition is not None:
-            return self.transition(state, action)
         return (state + 1) % self.n_states
 
     def flat_action(self, action: Action) -> int:
@@ -120,7 +116,6 @@ class StudentPolicy:
     tool_logits: np.ndarray  # (n_states, n_tools)
     arg_logits: np.ndarray  # (n_states, n_tools, n_args)
     eta: float = 0.1
-    grad_clip: float | None = None
 
     @staticmethod
     def uniform(world: ToolWorld, eta: float = 0.1) -> "StudentPolicy":
@@ -167,15 +162,6 @@ class StepRecord:
     grad_inf_norm: float
     teacher_losses: np.ndarray
     weights: np.ndarray
-
-
-class NumericAbort(RuntimeError):
-    """Student logits left the finite range during an update."""
-
-    def __init__(self, iteration: int, step: int):
-        self.iteration = iteration
-        self.step = step
-        super().__init__(f"non-finite student logits after iteration {iteration}, step {step}")
 
 
 def rollout(
@@ -267,8 +253,6 @@ class TrainConfig:
     eps: float = DEFAULT_FLOOR
     tau_conf: float = 1.0
     seed: int = 0
-    grad_clip: float | None = None
-    debate_cache: bool = True
     reduction: str = "step_sum"  # or "token_mean": whole-trajectory token mean
 
     def __post_init__(self):
@@ -280,7 +264,8 @@ class TrainConfig:
             raise ValueError(f"unknown reduction {self.reduction!r}")
         if self.kind.name in ("forward_kl", "reverse_kl") and self.eps == 0:
             raise ValueError(
-                f"{self.kind.name} training requires a positive teacher floor eps"
+                f"eps: {self.kind.name} training requires a positive teacher floor, "
+                f"got {self.eps}"
             )
 
 
@@ -308,15 +293,6 @@ def task_accuracy(policy: StudentPolicy, world: ToolWorld) -> float:
     return hits / world.n_states
 
 
-def _clip(grad: np.ndarray, clip: float | None) -> np.ndarray:
-    if clip is None:
-        return grad
-    norm = float(np.max(np.abs(grad)))
-    if norm > clip:
-        return grad * (clip / norm)
-    return grad
-
-
 def _row_usable(row: np.ndarray) -> bool:
     """A logit row the next iteration can still softmax: finite entries
     whose spread does not underflow the smallest probability to zero."""
@@ -326,20 +302,27 @@ def _row_usable(row: np.ndarray) -> bool:
         return float(row.max() - row.min()) <= 700.0
 
 
+def _first_unusable_step(policy: StudentPolicy, traj: Trajectory) -> int | None:
+    """First step of traj whose tool or arg row is no longer usable."""
+    for m, (s, (tool, _), _obs) in enumerate(traj.steps):
+        if not (_row_usable(policy.tool_logits[s]) and _row_usable(policy.arg_logits[s, tool])):
+            return m
+    return None
+
+
 def train(world: ToolWorld, teachers: list[Teacher], config: TrainConfig) -> TrainResult:
     """Run the full on-policy loop; deterministic given config.seed.
 
     Per iteration: draw a start state, roll out max_steps actions with the
-    current policy, debate each visited state once (cached within the
-    iteration unless disabled), force-decode every sampled action against
-    final-round teacher tables with confidence weights, sum the per-step
-    token-mean losses, and apply one gradient step to the visited rows.
-    Teacher tables are never mutated. A non-finite logit aborts the run
-    with the offending step recorded.
+    current policy, debate each visited state, force-decode every sampled
+    action against final-round teacher tables with confidence weights, sum
+    the per-step token-mean losses, and apply one gradient step to the
+    visited rows. Teacher tables are never mutated. A logit row the next
+    iteration could not softmax aborts the run, recording the first step
+    whose tool or arg row it is.
     """
     rollout_rng = RngSeed(config.seed).stream("rollout")
     policy = StudentPolicy.uniform(world, eta=config.eta)
-    policy.grad_clip = config.grad_clip
 
     loss_series = np.zeros(config.iterations)
     acc_series = np.zeros(config.iterations)
@@ -352,7 +335,6 @@ def train(world: ToolWorld, teachers: list[Teacher], config: TrainConfig) -> Tra
         x = int(rollout_rng.integers(world.n_states))
         traj = rollout(world, policy, x, rollout_rng)
 
-        debate_cache: dict[int, DebateResult] = {}
         tool_grads: dict[int, np.ndarray] = {}
         arg_grads: dict[tuple[int, int], np.ndarray] = {}
         token_scale = 0.5 if config.reduction == "step_sum" else 1.0 / (2 * len(traj))
@@ -360,11 +342,7 @@ def train(world: ToolWorld, teachers: list[Teacher], config: TrainConfig) -> Tra
         iter_records = []
 
         for m, (state, action, _obs) in enumerate(traj.steps):
-            if config.debate_cache and state in debate_cache:
-                result = debate_cache[state]
-            else:
-                result = run_debate(teachers, state, config.rounds)
-                debate_cache[state] = result
+            result = run_debate(teachers, state, config.rounds)
             scores = ConfidenceScores.from_raw(result.confidences, config.tau_conf)
             w = confidence_to_weights(scores)
 
@@ -403,13 +381,11 @@ def train(world: ToolWorld, teachers: list[Teacher], config: TrainConfig) -> Tra
                 )
 
         for s, grad in tool_grads.items():
-            policy.tool_logits[s] -= policy.eta * _clip(grad, policy.grad_clip)
+            policy.tool_logits[s] -= policy.eta * grad
         for (s, tool), grad in arg_grads.items():
-            policy.arg_logits[s, tool] -= policy.eta * _clip(grad, policy.grad_clip)
+            policy.arg_logits[s, tool] -= policy.eta * grad
 
-        finite = all(_row_usable(policy.tool_logits[s]) for s in tool_grads) and all(
-            _row_usable(policy.arg_logits[s, t]) for s, t in arg_grads
-        )
+        bad_step = _first_unusable_step(policy, traj)
 
         loss_series[it] = total_loss
         acc_series[it] = task_accuracy(policy, world)
@@ -419,8 +395,7 @@ def train(world: ToolWorld, teachers: list[Teacher], config: TrainConfig) -> Tra
                 (it, rec.step, rec.token, kind_label, rec.loss, rec.grad_inf_norm, acc_series[it])
             )
 
-        if not finite:
-            bad_step = len(traj) - 1
+        if bad_step is not None:
             aborted = {"iteration": it, "step": bad_step}
             loss_series = loss_series[: it + 1]
             acc_series = acc_series[: it + 1]

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import DivergenceKind, GradientReport, divergence_value, logit_gradient
+from .divergence import DivergenceKind, logit_gradient
 from .simplex import Distribution, LogitVector
 
 logger = logging.getLogger(__name__)
@@ -114,9 +114,6 @@ class TokenLossReport:
     def offending_teachers(self) -> list[int]:
         return [k for k, v in enumerate(self.teacher_losses) if math.isinf(v)]
 
-    def as_gradient_report(self) -> GradientReport:
-        return GradientReport(self.value, self.logit_grad, self.inf_norm)
-
 
 def multi_teacher_token_loss(
     kind: DivergenceKind,
@@ -150,15 +147,4 @@ def multi_teacher_token_loss(
         inf_norm = float(np.max(np.abs(grad)))
     return TokenLossReport(
         value=float(total), logit_grad=grad, inf_norm=inf_norm, teacher_losses=sub_losses
-    )
-
-
-def multi_teacher_value(
-    kind: DivergenceKind, teacher_dists: list[Distribution], w: TeacherWeights, q: Distribution
-) -> float:
-    """Loss-only variant for callers that have a Distribution, not logits."""
-    if len(teacher_dists) != w.num_teachers:
-        raise ValueError("weights do not match the number of teachers")
-    return float(
-        sum(wk * divergence_value(kind, p, q) for wk, p in zip(w.weights, teacher_dists))
     )

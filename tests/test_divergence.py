@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import probability_vectors
 from debatekd.divergence import (
@@ -10,6 +11,7 @@ from debatekd.divergence import (
     JSD_GRAD_TIGHT_BOUND,
     REVERSE_KL,
     DivergenceKind,
+    batch,
     divergence_value,
     finite_difference_gradient,
     jsd_bound_probe,
@@ -19,7 +21,7 @@ from debatekd.divergence import (
     parse_kind,
     revkl_unboundedness_probe,
 )
-from debatekd.simplex import Distribution, LogitVector, RngSeed, softmax
+from debatekd.simplex import Distribution, LogitVector, RngSeed, softmax, softmax_rows
 
 ALL_KINDS = (FORWARD_KL, REVERSE_KL, jsd_kind(0.5), jsd_kind(0.3))
 
@@ -159,6 +161,71 @@ class TestLogitGradient:
     def test_vocab_mismatch_rejected(self):
         with pytest.raises(ValueError, match="vocab"):
             logit_gradient(FORWARD_KL, Distribution.uniform(2), LogitVector(np.zeros(3)))
+
+
+@st.composite
+def stacked_rows(draw):
+    """(P, Q, Z): N teacher rows and N student rows on one vocabulary, both
+    with exact zeros, plus N student logit rows; Q[0] may equal P[0]."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    vocab = draw(st.integers(min_value=2, max_value=24))
+
+    def rows(elements):
+        row = st.lists(elements, min_size=vocab, max_size=vocab)
+        return np.array(draw(st.lists(row, min_size=n, max_size=n)))
+
+    def prob_rows():
+        raw = rows(st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e3)))
+        assume(np.all(raw.sum(axis=1) > 0))
+        return raw / raw.sum(axis=1, keepdims=True)
+
+    p, q = prob_rows(), prob_rows()
+    if draw(st.booleans()):
+        q[0] = p[0]
+    return p, q, rows(st.floats(min_value=-30, max_value=30))
+
+
+def reference_kl(a, b):
+    """Scalar KL(a||b): sum over the a-positive tokens only."""
+    pos = a > 0
+    if np.any(b[pos] == 0):
+        return math.inf
+    return max(float(np.sum(a[pos] * np.log(a[pos] / b[pos]))), 0.0)
+
+
+class TestBatchKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(stacked_rows())
+    def test_stacked_call_matches_per_row_wrappers_bit_for_bit(self, rows):
+        p, q, z = rows
+        for kind in ALL_KINDS:
+            values, none = batch(kind, p, q, grad=False)
+            assert none is None
+            grad_values, grads = batch(kind, p, softmax_rows(z))
+            for i in range(len(p)):
+                pd = Distribution(p[i])
+                value = divergence_value(kind, pd, Distribution(q[i]))
+                assert np.float64(value).tobytes() == values[i].tobytes()
+                rep = logit_gradient(kind, pd, LogitVector(z[i]))
+                assert np.float64(rep.value).tobytes() == grad_values[i].tobytes()
+                assert rep.logit_grad.tobytes() == grads[i].tobytes()
+
+    def test_rows_with_zeros_round_like_the_scalar_reference(self):
+        rng = np.random.default_rng(6)
+        for vocab in (3, 8, 9, 17, 64):
+            p = rng.dirichlet(np.full(vocab, 0.5), size=200)
+            q = rng.dirichlet(np.full(vocab, 0.5), size=200)
+            p[rng.random(p.shape) < 0.2] = 0.0
+            q[rng.random(q.shape) < 0.2] = 0.0
+            forward, _ = batch(FORWARD_KL, p, q, grad=False)
+            reverse, _ = batch(REVERSE_KL, p, q, grad=False)
+            for i in range(len(p)):
+                assert forward[i] == reference_kl(p[i], q[i])
+                assert reverse[i] == reference_kl(q[i], p[i])
+
+    def test_vocab_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="vocab mismatch: 2 vs 3"):
+            batch(FORWARD_KL, np.full((1, 2), 0.5), np.full((1, 3), 1 / 3))
 
 
 class TestFiniteDifferenceOracle:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -71,6 +72,11 @@ class TestRunConfig:
     def test_kind_string_parsing(self):
         config = RunConfig.from_dict({"experiment": "opad", "kind": "jsd:0.25"})
         assert config.kind == jsd_kind(0.25)
+
+    def test_training_constraints_checked_up_front(self):
+        with pytest.raises(ConfigError, match="eps"):
+            RunConfig.from_dict({"experiment": "opad", "kind": "rev", "eps": 0})
+        RunConfig.from_dict({"experiment": "bounds", "kind": "rev", "eps": 0})
 
     def test_file_loading_with_flag_overrides(self, tmp_path):
         path = tmp_path / "config.json"
@@ -207,6 +213,86 @@ class TestRunArtifacts:
         assert ratios["rev"] > ratios["jsd:0.5"]
 
 
+#: sha256 of every artifact but run.json (which echoes paths and versions),
+#: seed 0, taken before the divergence kernel was batched. The bounds and
+#: opad-complementary metrics.csv digests are the seed-0 `sweep` and `train`
+#: figures of bench/README.md.
+DIGEST_NUMPY = "2.4.6"
+ARTIFACT_DIGESTS = {
+    "bounds": (
+        {"experiment": "bounds", "iterations": 2000},
+        {
+            "bounds_report.json": "14999536fe97e0f35881721915d342759b22f628adaebec089084090ba95a51b",
+            "metrics.csv": "a81aaa23e4d8ff70b71b196bb71ff2799a989329d9ba50fa08d5104e3b007e08",
+            "revkl_report.json": "45924f656bf7e8a20eb3172cd5a7a007aa505cfc9367db8e3d023875d9454a48",
+        },
+    ),
+    "opad-complementary": (
+        {"experiment": "opad", "kind": "jsd:0.5", "iterations": 200},
+        {
+            "metrics.csv": "3cdf205ae7be7317101c6ff45aad5565b78b27323190b7d8208bf13769608a23",
+            "train_report.json": "4a28fe6d4c01f3c109126ff96b520e89c1f7d7be91e5a24a92c12688aa0599d6",
+        },
+    ),
+    "opad-privileged-rev": (
+        {"experiment": "opad", "fixture": "privileged-gap", "kind": "rev", "iterations": 50},
+        {
+            "metrics.csv": "f8a4bfd4b0402f2579d284c3de4c78dcabe4e6c8f4852fda8947a0c42e21a441",
+            "train_report.json": "145e994df227d6b5113cc93a9105b0e68347209bcf11c823b4f1b92e4a0ac6cd",
+        },
+    ),
+    "opad-two-strategy-fwd": (
+        {"experiment": "opad", "fixture": "two-strategy", "kind": "fwd", "iterations": 50},
+        {
+            "metrics.csv": "25fb42a5b8e8b738e4520c2af19cdbede8662689107db4a9887979bf9750c510",
+            "train_report.json": "610c6db18c370b270db6c26c3b9c7e3cd1d86f5a6cdfb6b64a8263da71ff5f71",
+        },
+    ),
+    "gradcheck": (
+        {"experiment": "gradcheck", "iterations": 4},
+        {
+            "gradcheck_report.json": "9cbe18b246fab1b6342d4d2f9ce92a7de88d7746168baf8a3ba7bbb625d22a55",
+            "metrics.csv": "d16833697c18516d4ca465d7bf2bc9d9245c9b8dc33bd95f62be71f2a97cbc30",
+        },
+    ),
+    "modes": (
+        {"experiment": "modes"},
+        {
+            "metrics.csv": "aa7a2742769b075ef3d4f2e9495e006a3bae27284d1f689c833eec84c0ff5724",
+            "modes_report.json": "16bc7f126af4857fd4363c60560db65494ce4469ea6d9a5401d6b13fe183cea0",
+        },
+    ),
+    "debate-demo": (
+        {"experiment": "debate-demo"},
+        {
+            "debate_report.json": "d3d67acc35d0ee82b973a5d60e4a721e8c407fe7e6f21881f39c8b48ef69b43a",
+            "metrics.csv": "69731ac6f6479d37b976fedd320736374c68cfad49d07b7baa6d378ffa8bcd80",
+            "transcript.txt": "b2e138cf339e15d8f30e02cf1c068fdfb9ec9c402b394045c7dce9e28a6128c0",
+            "transcripts.jsonl": "e1f6e072ffbbdf41683245c912e1215290b274d6ceb0652cdb434624662964ea",
+        },
+    ),
+}
+
+
+class TestArtifactDigests:
+    @pytest.mark.skipif(
+        np.__version__ != DIGEST_NUMPY,
+        reason=f"digests were taken on numpy {DIGEST_NUMPY}; other versions may round differently",
+    )
+    @pytest.mark.parametrize(
+        "config, digests", ARTIFACT_DIGESTS.values(), ids=ARTIFACT_DIGESTS.keys()
+    )
+    def test_artifacts_are_byte_identical(self, tmp_path, config, digests):
+        out = tmp_path / "run"
+        assert run(RunConfig.from_dict({**config, "seed": 0, "out_dir": str(out)})) == EXIT_OK
+        produced = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.iterdir()
+            if path.name != "run.json"
+        }
+        assert produced == digests
+
+
 class TestCli:
     def test_run_subcommand(self, tmp_path):
         out = tmp_path / "cli"
@@ -232,3 +318,14 @@ class TestCli:
     def test_missing_config_file_is_config_error(self, tmp_path):
         status = main(["run", "bounds", "--config", str(tmp_path / "nope.json")])
         assert status == EXIT_CONFIG_ERROR
+
+    def test_untrainable_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"experiment": "opad", "kind": "rev", "eps": 0}))
+        out = tmp_path / "never"
+        status = main(["run", "opad", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert status == EXIT_CONFIG_ERROR
+        assert err.startswith("config error: eps:")
+        assert "Traceback" not in err
+        assert not out.exists()

@@ -11,9 +11,8 @@ from debatekd.fixtures import (
     teacher_standalone_accuracy,
     two_strategy_fixture,
 )
-from debatekd.simplex import Distribution, LogitVector, RngSeed
+from debatekd.simplex import Distribution, RngSeed
 from debatekd.training import (
-    NumericAbort,
     Observation,
     StudentPolicy,
     ToolWorld,
@@ -24,7 +23,7 @@ from debatekd.training import (
     task_accuracy,
     train,
 )
-from debatekd.weighting import ConfidenceScores, TeacherWeights, confidence_to_weights
+from debatekd.weighting import TeacherWeights
 
 
 def teacher_table_hash(teacher) -> str:
@@ -274,18 +273,10 @@ class TestTrainLoop:
         result = train(fixture.world, list(fixture.teachers), cfg)
         assert result.aborted is not None
         assert result.aborted["iteration"] == 0
+        # every visited row's spread overflows in the first update, so the
+        # first step of the trajectory is the one reported
+        assert result.aborted["step"] == 0
         assert len(result.loss_series) == 1
-
-    def test_debate_cache_flag_does_not_change_results(self):
-        # mock teachers are deterministic, so per-state caching is pure
-        # speedup; disabling it must reproduce the run exactly
-        fixture = complementary_fixture()
-        base = dict(kind=jsd_kind(), iterations=30, seed=6)
-        cached = train(fixture.world, list(fixture.teachers), TrainConfig(**base))
-        uncached = train(
-            fixture.world, list(fixture.teachers), TrainConfig(**base, debate_cache=False)
-        )
-        np.testing.assert_array_equal(cached.loss_series, uncached.loss_series)
 
     def test_token_mean_reduction(self):
         fixture = complementary_fixture()

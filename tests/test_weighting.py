@@ -21,7 +21,6 @@ from debatekd.weighting import (
     TeacherWeights,
     confidence_to_weights,
     multi_teacher_token_loss,
-    multi_teacher_value,
 )
 
 
@@ -175,11 +174,3 @@ class TestMultiTeacherTokenLoss:
                 TeacherWeights.uniform(2),
                 LogitVector(np.zeros(2)),
             )
-
-    def test_value_helper_agrees(self):
-        teachers = [self.rand_dist(4) for _ in range(2)]
-        z = LogitVector(self.rng.normal(0, 1, 4))
-        w = TeacherWeights.uniform(2)
-        rep = multi_teacher_token_loss(FORWARD_KL, teachers, w, z)
-        val = multi_teacher_value(FORWARD_KL, teachers, w, softmax(z))
-        assert val == pytest.approx(rep.value, rel=1e-12)
