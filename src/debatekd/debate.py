@@ -300,7 +300,7 @@ def _round_word(r: int) -> str:
 
 _LINE_RE = re.compile(
     r"^\[Expert (?P<letter>[A-Z]) (?P<round>Initial|Revised|Round \d+) Answer\]: "
-    r"(?P<tokens>\d+(?: \d+)*) \| Confidence Score: (?P<conf>\d+(?:\.\d+)?)$"
+    r"(?P<tokens>\d+(?: \d+)*) \| Confidence Score: (?P<conf>\d+(?:\.\d+)?(?:e-\d+)?)$"
 )
 
 

@@ -10,6 +10,7 @@ representation. Nothing is ever written outside the output directory.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -39,13 +40,18 @@ class ConfigError(ValueError):
     """Invalid run configuration; message names the offending field."""
 
 
+#: Value types accepted for each RunConfig field annotation; bools never pass.
+_FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
+
+
 @dataclass
 class RunConfig:
     """Flat configuration for one named run.
 
     For bounds and gradcheck, `iterations` counts probe trials / oracle
     cases; for opad it counts outer training iterations. `fixture` selects
-    the mock scenario an opad or debate-demo run operates on.
+    the mock scenario of an opad or debate-demo run; its builder receives
+    the fields its signature names.
     """
 
     experiment: str
@@ -63,6 +69,11 @@ class RunConfig:
     fixture: str = "complementary"
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            types = _FIELD_TYPES.get(f.type)
+            if types and (isinstance(value, bool) or not isinstance(value, types)):
+                raise ConfigError(f"{f.name}: expected {f.type}, got {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}"
@@ -74,11 +85,11 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.revision_rate <= 1:
             raise ConfigError(f"revision_rate must lie in [0, 1], got {self.revision_rate}")
-        if self.conf_temperature <= 0:
+        if not self.conf_temperature > 0:
             raise ConfigError(f"conf_temperature must be positive, got {self.conf_temperature}")
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise ConfigError(f"eps must be non-negative, got {self.eps}")
-        if self.eta < 0:
+        if not self.eta >= 0:
             raise ConfigError(f"eta must be non-negative, got {self.eta}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
@@ -86,11 +97,33 @@ class RunConfig:
 
         if self.fixture not in FIXTURES:
             raise ConfigError(f"fixture must be one of {sorted(FIXTURES)}, got {self.fixture!r}")
+        if self.experiment not in ("opad", "debate-demo"):
+            return
+        world = self.build_fixture().world
         if self.experiment == "opad":
+            limit = 1.0 / max(world.n_tools, world.n_args)
+            if not self.eps < limit:
+                raise ConfigError(f"eps: must lie below 1/|V| = {limit} for the tool and arg "
+                                  f"vocabularies of fixture {self.fixture!r}, got {self.eps}")
             try:
                 self.train_config()
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
+
+    def build_fixture(self):
+        """The run's fixture, built from the fields its builder declares."""
+        from .fixtures import FIXTURES, build_fixture
+
+        declared = inspect.signature(FIXTURES[self.fixture]).parameters
+        kwargs = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                  if f.name in declared}
+        fixture = build_fixture(self.fixture, **kwargs)
+        if len(fixture.teachers) != self.num_teachers:
+            raise ConfigError(
+                f"num_teachers: fixture {self.fixture!r} provides {len(fixture.teachers)} "
+                f"teachers, config asks for {self.num_teachers}"
+            )
+        return fixture
 
     def train_config(self):
         """The training hyperparameters of an opad run."""
@@ -132,6 +165,8 @@ class RunConfig:
         """Load a JSON config; a run.json artifact is accepted directly."""
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: expected a JSON object, got {type(raw).__name__}")
         if "config" in raw and isinstance(raw["config"], dict):
             raw = raw["config"]
         if overrides:
@@ -274,10 +309,10 @@ def _run_modes(config: RunConfig, out: Path) -> dict:
 
 def _run_debate_demo(config: RunConfig, out: Path) -> dict:
     from .debate import run_debate, serialize_transcript, transcript_to_jsonl
-    from .fixtures import build_fixture, teacher_standalone_accuracy
+    from .fixtures import teacher_standalone_accuracy
     from .weighting import ConfidenceScores, confidence_to_weights
 
-    fixture = build_fixture(config.fixture)
+    fixture = config.build_fixture()
     world = fixture.world
     teachers = list(fixture.teachers)
     rows = []
@@ -314,33 +349,21 @@ def _run_debate_demo(config: RunConfig, out: Path) -> dict:
 
 
 def _run_opad(config: RunConfig, out: Path) -> dict:
-    from .fixtures import build_fixture
     from .training import train
 
-    kwargs = {}
-    if config.fixture == "complementary":
-        kwargs = {"revision_rate": config.revision_rate}
-    elif config.fixture == "privileged-gap":
-        kwargs = {"num_teachers": config.num_teachers}
-    fixture = build_fixture(config.fixture, **kwargs)
-    if len(fixture.teachers) != config.num_teachers and config.fixture != "privileged-gap":
-        raise ConfigError(
-            f"num_teachers: fixture {config.fixture!r} provides {len(fixture.teachers)} "
-            f"teachers, config asks for {config.num_teachers}"
-        )
+    fixture = config.build_fixture()
     world = fixture.world
     if config.max_steps != world.max_steps:
         world = dataclasses.replace(world, max_steps=config.max_steps)
     result = train(world, list(fixture.teachers), config.train_config())
+    rows = [
+        (*i, str(config.kind), loss, result.token_grad_inf[i], result.accuracy_series[i[0]])
+        for i, loss in np.ndenumerate(result.token_loss)
+    ]
     write_csv(
-        out / "metrics.csv",
-        ["iter", "step", "token", "kind", "loss", "grad_inf", "acc"],
-        result.metrics_rows,
+        out / "metrics.csv", ["iter", "step", "token", "kind", "loss", "grad_inf", "acc"], rows
     )
-    step_losses: dict[tuple[int, int], list[float]] = {}
-    for rec in result.records:
-        step_losses.setdefault((rec.iteration, rec.step), []).append(rec.loss)
-    per_step = np.array([np.mean(v) for v in step_losses.values()])
+    per_step = result.token_loss.mean(axis=-1)
     smoothed = ema(result.loss_series, alpha=0.15)
     summary = {
         "final_accuracy": result.final_accuracy,
@@ -349,21 +372,30 @@ def _run_opad(config: RunConfig, out: Path) -> dict:
         "per_step_loss_max": float(per_step.max()),
         "per_step_loss_median": float(np.median(per_step)),
         "spike_ratio": float(per_step.max() / np.median(per_step)),
-        "max_grad_inf_norm": float(max(r.grad_inf_norm for r in result.records)),
+        "max_grad_inf_norm": float(result.token_grad_inf.max()),
         "aborted": result.aborted,
     }
     _write_json(out / "train_report.json", summary)
-    if result.aborted is not None:
-        raise NumericAbortArtifact(summary)
     return summary
 
 
-class NumericAbortArtifact(RuntimeError):
-    """Training aborted on non-finite logits; partial artifacts were written."""
-
-    def __init__(self, summary: dict):
-        self.summary = summary
-        super().__init__(f"training aborted: {summary['aborted']}")
+def _acquire_lock(lock: Path) -> bool:
+    """Create lock holding this process's PID. A lock naming a PID that no
+    longer exists is reclaimed; an empty or unreadable lock, or a live or
+    unprobeable PID, blocks (a PID <= 0 probes this process group)."""
+    try:
+        os.kill(max(int(lock.read_text(encoding="ascii")), 0), 0)
+    except ProcessLookupError:
+        lock.unlink(missing_ok=True)
+    except (OSError, ValueError, OverflowError):
+        pass
+    try:
+        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return False
+    os.write(fd, str(os.getpid()).encode())
+    os.close(fd)
+    return True
 
 
 _RUNNERS = {
@@ -380,29 +412,25 @@ def run(config: RunConfig) -> int:
 
     Creates the output directory with run.json (config echo, versions,
     seed, summary), metrics.csv, and experiment-specific reports. A lock
-    file guards against two concurrent runs sharing a directory.
+    file holding the run's PID guards against two concurrent runs sharing a
+    directory; a lock left by a process that no longer exists is reclaimed.
     """
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lock = out / ".lock"
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        os.close(fd)
-    except FileExistsError:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: out_dir: cannot create {out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    lock = out / ".lock"
+    if not _acquire_lock(lock):
         print(f"config error: output directory {out} is locked by a running experiment",
               file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    status = EXIT_OK
-    summary: dict = {}
-    abort: dict | None = None
     try:
-        try:
-            summary = _RUNNERS[config.experiment](config, out)
-        except NumericAbortArtifact as exc:
-            summary = exc.summary
-            abort = summary.get("aborted")
-            status = EXIT_NUMERIC_ABORT
+        summary = _RUNNERS[config.experiment](config, out)
+        abort = summary.get("aborted")
         payload = {
             "config": config.to_dict(),
             "versions": {
@@ -418,4 +446,4 @@ def run(config: RunConfig) -> int:
         _write_json(out / "run.json", payload)
     finally:
         lock.unlink(missing_ok=True)
-    return status
+    return EXIT_OK if abort is None else EXIT_NUMERIC_ABORT

@@ -10,8 +10,7 @@ and its own sampled tokens.
 
 Per-step loss is the token mean of the confidence-weighted multi-teacher
 divergence over the action's two positions; the trajectory loss sums
-per-step contributions (a whole-trajectory token mean is available behind
-the reduction flag for the single-step case).
+per-step contributions.
 """
 
 from __future__ import annotations
@@ -115,14 +114,12 @@ class StudentPolicy:
 
     tool_logits: np.ndarray  # (n_states, n_tools)
     arg_logits: np.ndarray  # (n_states, n_tools, n_args)
-    eta: float = 0.1
 
     @staticmethod
-    def uniform(world: ToolWorld, eta: float = 0.1) -> "StudentPolicy":
+    def uniform(world: ToolWorld) -> "StudentPolicy":
         return StudentPolicy(
             tool_logits=np.zeros((world.n_states, world.n_tools)),
             arg_logits=np.zeros((world.n_states, world.n_tools, world.n_args)),
-            eta=eta,
         )
 
     @staticmethod
@@ -149,19 +146,6 @@ class StudentPolicy:
         tool = int(np.argmax(self.tool_logits[state]))
         arg = int(np.argmax(self.arg_logits[state, tool]))
         return (tool, arg)
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """Instrumentation for one token position of one trajectory step."""
-
-    iteration: int
-    step: int
-    token: int
-    loss: float
-    grad_inf_norm: float
-    teacher_losses: np.ndarray
-    weights: np.ndarray
 
 
 def rollout(
@@ -253,15 +237,12 @@ class TrainConfig:
     eps: float = DEFAULT_FLOOR
     tau_conf: float = 1.0
     seed: int = 0
-    reduction: str = "step_sum"  # or "token_mean": whole-trajectory token mean
 
     def __post_init__(self):
         if self.rounds < 1 or self.iterations < 1:
             raise ValueError("rounds and iterations must be >= 1")
         if self.eta < 0 or self.eps < 0:
             raise ValueError("eta and eps must be non-negative")
-        if self.reduction not in ("step_sum", "token_mean"):
-            raise ValueError(f"unknown reduction {self.reduction!r}")
         if self.kind.name in ("forward_kl", "reverse_kl") and self.eps == 0:
             raise ValueError(
                 f"eps: {self.kind.name} training requires a positive teacher floor, "
@@ -271,14 +252,20 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    """Run artifact: series, per-token records, and the trained policy."""
+    """Run artifact: per-iteration series, per-token arrays, trained policy.
+
+    token_loss and token_grad_inf are indexed [iteration, step, token]
+    (token 0 is the tool position, 1 the arg position); weights is indexed
+    [iteration, step, teacher]. An aborted run keeps the aborting iteration.
+    """
 
     loss_series: np.ndarray
     accuracy_series: np.ndarray
-    records: list[StepRecord]
+    token_loss: np.ndarray  # (iterations, max_steps, 2)
+    token_grad_inf: np.ndarray  # (iterations, max_steps, 2)
+    weights: np.ndarray  # (iterations, max_steps, K)
     policy: StudentPolicy
     final_accuracy: float
-    metrics_rows: list[tuple]
     aborted: dict | None = None
 
 
@@ -322,13 +309,13 @@ def train(world: ToolWorld, teachers: list[Teacher], config: TrainConfig) -> Tra
     whose tool or arg row it is.
     """
     rollout_rng = RngSeed(config.seed).stream("rollout")
-    policy = StudentPolicy.uniform(world, eta=config.eta)
+    policy = StudentPolicy.uniform(world)
 
     loss_series = np.zeros(config.iterations)
     acc_series = np.zeros(config.iterations)
-    records: list[StepRecord] = []
-    rows: list[tuple] = []
-    kind_label = str(config.kind)
+    token_loss = np.zeros((config.iterations, world.max_steps, 2))
+    token_grad_inf = np.zeros((config.iterations, world.max_steps, 2))
+    weights = np.zeros((config.iterations, world.max_steps, len(teachers)))
     aborted = None
 
     for it in range(config.iterations):
@@ -337,9 +324,7 @@ def train(world: ToolWorld, teachers: list[Teacher], config: TrainConfig) -> Tra
 
         tool_grads: dict[int, np.ndarray] = {}
         arg_grads: dict[tuple[int, int], np.ndarray] = {}
-        token_scale = 0.5 if config.reduction == "step_sum" else 1.0 / (2 * len(traj))
         total_loss = 0.0
-        iter_records = []
 
         for m, (state, action, _obs) in enumerate(traj.steps):
             result = run_debate(teachers, state, config.rounds)
@@ -356,57 +341,36 @@ def train(world: ToolWorld, teachers: list[Teacher], config: TrainConfig) -> Tra
                 action=action,
                 eps=config.eps,
             )
-            total_loss += token_scale * (tool_rep.value + arg_rep.value)
+            total_loss += 0.5 * (tool_rep.value + arg_rep.value)
+            token_loss[it, m] = tool_rep.value, arg_rep.value
+            token_grad_inf[it, m] = tool_rep.inf_norm, arg_rep.inf_norm
+            weights[it, m] = w.weights
 
-            tool_key = state
-            if tool_key not in tool_grads:
-                tool_grads[tool_key] = np.zeros(world.n_tools)
-            tool_grads[tool_key] += token_scale * tool_rep.logit_grad
             arg_key = (state, action[0])
-            if arg_key not in arg_grads:
-                arg_grads[arg_key] = np.zeros(world.n_args)
-            arg_grads[arg_key] += token_scale * arg_rep.logit_grad
-
-            for t, rep in enumerate((tool_rep, arg_rep)):
-                iter_records.append(
-                    StepRecord(
-                        iteration=it,
-                        step=m,
-                        token=t,
-                        loss=rep.value,
-                        grad_inf_norm=rep.inf_norm,
-                        teacher_losses=rep.teacher_losses,
-                        weights=w.weights,
-                    )
-                )
+            tool_grads[state] = tool_grads.get(state, 0.0) + 0.5 * tool_rep.logit_grad
+            arg_grads[arg_key] = arg_grads.get(arg_key, 0.0) + 0.5 * arg_rep.logit_grad
 
         for s, grad in tool_grads.items():
-            policy.tool_logits[s] -= policy.eta * grad
+            policy.tool_logits[s] -= config.eta * grad
         for (s, tool), grad in arg_grads.items():
-            policy.arg_logits[s, tool] -= policy.eta * grad
-
-        bad_step = _first_unusable_step(policy, traj)
+            policy.arg_logits[s, tool] -= config.eta * grad
 
         loss_series[it] = total_loss
         acc_series[it] = task_accuracy(policy, world)
-        records.extend(iter_records)
-        for rec in iter_records:
-            rows.append(
-                (it, rec.step, rec.token, kind_label, rec.loss, rec.grad_inf_norm, acc_series[it])
-            )
 
+        bad_step = _first_unusable_step(policy, traj)
         if bad_step is not None:
             aborted = {"iteration": it, "step": bad_step}
-            loss_series = loss_series[: it + 1]
-            acc_series = acc_series[: it + 1]
             break
 
+    kept = it + 1
     return TrainResult(
-        loss_series=loss_series,
-        accuracy_series=acc_series,
-        records=records,
+        loss_series=loss_series[:kept],
+        accuracy_series=acc_series[:kept],
+        token_loss=token_loss[:kept],
+        token_grad_inf=token_grad_inf[:kept],
+        weights=weights[:kept],
         policy=policy,
         final_accuracy=task_accuracy(policy, world),
-        metrics_rows=rows,
         aborted=aborted,
     )

@@ -306,6 +306,65 @@ class TestTranscriptFormat:
         recovered = parse_transcript(serialize_transcript(transcript), state_ref="s")
         assert recovered == transcript
 
+    def test_confidence_below_1e_4_round_trips(self):
+        # repr writes such confidences in exponent form ("1e-05")
+        cell = Utterance(TeacherId(0, "Expert A"), 1, (0,), 1e-05)
+        transcript = DebateTranscript(utterances=((cell,),))
+        assert parse_transcript(serialize_transcript(transcript)) == transcript
+
+    @given(st.data())
+    def test_parse_rejects_or_round_trips_adversarial_text(self, data):
+        """Malformed and adversarial blocks either raise ValueError or parse
+        into a transcript that survives serialize -> parse unchanged.
+
+        A well-formed K x R grid with adversarial values (huge integers,
+        confidences above 100 or below 1e-4, Round 0) is mangled by random
+        insertions (noise, duplicate or stray cells) and deletions (gaps).
+        """
+        number = st.one_of(
+            st.integers(min_value=0, max_value=200),
+            st.integers(min_value=10**15, max_value=10**60),
+        ).map(str)
+        confidence = st.one_of(
+            number,
+            st.builds("{}.{}".format, number, st.text("0123456789", min_size=1, max_size=8)),
+            st.sampled_from(["100.0", "100.01", "0.00001", "0.0000001", "1" + "0" * 400]),
+        )
+
+        def cell(letter, round_word):
+            return st.builds(
+                "[Expert {} {} Answer]: {} | Confidence Score: {}".format,
+                letter,
+                round_word,
+                st.lists(number, min_size=1, max_size=3).map(" ".join),
+                confidence,
+            )
+
+        def grid_word(r):
+            named = {1: ["Initial", "Round 1", "Round 01"], 2: ["Revised", "Round 2"]}
+            return st.sampled_from(named.get(r, [f"Round {r}"]))
+
+        n_teachers = data.draw(st.integers(min_value=1, max_value=3))
+        n_rounds = data.draw(st.integers(min_value=1, max_value=3))
+        lines = [
+            data.draw(cell(st.just(chr(65 + k)), grid_word(r)))
+            for r in range(1, n_rounds + 1)
+            for k in range(n_teachers)
+        ]
+        stray = cell(st.sampled_from("ABDZ"), st.one_of(grid_word(1), number.map("Round {}".format)))
+        for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+            at = data.draw(st.integers(min_value=0, max_value=len(lines)))
+            if data.draw(st.booleans()) and at < len(lines):
+                del lines[at]
+            else:
+                lines.insert(at, data.draw(st.one_of(stray, st.text(max_size=30))))
+        text = "\n".join(["[Debate Start]", *lines, "[Debate End]"])
+        try:
+            transcript = parse_transcript(text)
+        except ValueError:
+            return
+        assert parse_transcript(serialize_transcript(transcript)) == transcript
+
     def test_jsonl_export(self):
         import json
 

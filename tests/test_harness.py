@@ -1,11 +1,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from debatekd import harness
 from debatekd.cli import main
 from debatekd.divergence import REVERSE_KL, jsd_kind
 from debatekd.harness import (
@@ -144,6 +147,35 @@ class TestRunArtifacts:
         config = RunConfig(experiment="bounds", iterations=10, out_dir=str(out))
         assert run(config) == EXIT_CONFIG_ERROR
 
+    def test_lock_of_live_process_blocks(self, tmp_path):
+        out = tmp_path / "live"
+        out.mkdir()
+        (out / ".lock").write_text(str(os.getpid()))
+        config = RunConfig(experiment="bounds", iterations=10, out_dir=str(out))
+        assert run(config) == EXIT_CONFIG_ERROR
+        assert (out / ".lock").read_text() == str(os.getpid())
+
+    def test_lock_of_exited_process_is_reclaimed(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        out = tmp_path / "stale"
+        out.mkdir()
+        (out / ".lock").write_text(str(child.pid))
+        config = RunConfig(experiment="bounds", iterations=10, out_dir=str(out))
+        assert run(config) == EXIT_OK
+        assert not (out / ".lock").exists()
+
+    def test_lock_holds_the_running_pid(self, tmp_path, monkeypatch):
+        seen = []
+
+        def runner(config, out):
+            seen.append((out / ".lock").read_text())
+            return {}
+
+        monkeypatch.setitem(harness._RUNNERS, "bounds", runner)
+        assert run(RunConfig(experiment="bounds", out_dir=str(tmp_path / "pid"))) == EXIT_OK
+        assert seen == [str(os.getpid())]
+
     def test_lock_released_after_run(self, tmp_path):
         out = tmp_path / "once"
         config = RunConfig(experiment="bounds", iterations=10, out_dir=str(out))
@@ -177,6 +209,23 @@ class TestRunArtifacts:
         assert report["consensus_accuracy"] >= 0.9
         assert (out / "transcript.txt").read_text().startswith("[Debate Start]")
         assert (out / "transcripts.jsonl").exists()
+
+    def test_debate_demo_honours_revision_rate(self, tmp_path):
+        out = tmp_path / "frozen"
+        config = RunConfig(experiment="debate-demo", revision_rate=0.0, out_dir=str(out))
+        assert run(config) == EXIT_OK
+        lines = (out / "transcript.txt").read_text().splitlines()[1:-1]
+        answers = [line.split("]: ", 1)[1] for line in lines]
+        assert len(answers) == 4 and answers[2:] == answers[:2]
+
+    def test_debate_demo_honours_num_teachers(self, tmp_path):
+        out = tmp_path / "three"
+        config = RunConfig(
+            experiment="debate-demo", fixture="privileged-gap", num_teachers=3, out_dir=str(out)
+        )
+        assert run(config) == EXIT_OK
+        header = (out / "metrics.csv").read_text().splitlines()[0]
+        assert header == "state,confidence_0,confidence_1,confidence_2,consensus_correct"
 
     def test_modes_run_report(self, tmp_path):
         out = tmp_path / "modes"
@@ -318,6 +367,35 @@ class TestCli:
     def test_missing_config_file_is_config_error(self, tmp_path):
         status = main(["run", "bounds", "--config", str(tmp_path / "nope.json")])
         assert status == EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize(
+        "experiment, config, field",
+        [
+            ("opad", [1, 2], None),  # None: the message names the config file
+            ("opad", {"experiment": "opad", "seed": "abc"}, "seed"),
+            ("opad", {"experiment": "opad", "iterations": 2.5}, "iterations"),
+            ("opad", {"experiment": "opad", "seed": 1.5}, "seed"),
+            ("opad", {"experiment": "opad", "eps": 0.6}, "eps"),
+            ("opad", {"experiment": "opad", "iterations": 2}, "out_dir"),  # --out is a file
+            ("opad", {"experiment": "opad", "num_teachers": 3}, "num_teachers"),
+            ("debate-demo", {"experiment": "debate-demo", "num_teachers": 3}, "num_teachers"),
+        ],
+        ids=["not-an-object", "str-seed", "float-iterations", "float-seed",
+             "eps-above-inverse-vocab", "out-is-a-file", "opad-teacher-count",
+             "debate-demo-teacher-count"],
+    )
+    def test_bad_input_is_named_config_error(self, tmp_path, capsys, experiment, config, field):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        if field == "out_dir":
+            out.write_text("")
+        status = main(["run", experiment, "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert status == EXIT_CONFIG_ERROR
+        assert err.startswith(f"config error: {field or path}")
+        assert "Traceback" not in err
+        assert out.is_file() if field == "out_dir" else not out.exists()
 
     def test_untrainable_config_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"
