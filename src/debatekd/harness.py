@@ -27,13 +27,18 @@ from .divergence import (
     parse_kind,
     revkl_unboundedness_probe,
 )
-from .simplex import RngSeed
+from .simplex import _MAX_LOGIT_SPREAD, RngSeed
 
 EXPERIMENTS = ("bounds", "gradcheck", "modes", "debate-demo", "opad")
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
 EXIT_NUMERIC_ABORT = 2
+
+
+#: Largest `iterations`: training and the bounds sweep preallocate their
+#: per-iteration records, so a larger count is refused before the run starts.
+_MAX_ITERATIONS = 10**6
 
 
 class ConfigError(ValueError):
@@ -83,10 +88,17 @@ class RunConfig:
         for name in ("num_teachers", "rounds", "max_steps", "iterations"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.iterations > _MAX_ITERATIONS:
+            raise ConfigError(f"iterations: must be at most {_MAX_ITERATIONS}, got {self.iterations}")
         if not 0 <= self.revision_rate <= 1:
             raise ConfigError(f"revision_rate must lie in [0, 1], got {self.revision_rate}")
-        if not self.conf_temperature > 0:
-            raise ConfigError(f"conf_temperature must be positive, got {self.conf_temperature}")
+        # A 100-point confidence spread is a weight-logit spread of 1/tau; past
+        # the softmax ceiling the least confident teacher's weight underflows.
+        if not self.conf_temperature >= 1.0 / _MAX_LOGIT_SPREAD:
+            raise ConfigError(
+                f"conf_temperature: must be at least 1/{_MAX_LOGIT_SPREAD:g} so that every "
+                f"teacher weight stays positive, got {self.conf_temperature}"
+            )
         if not self.eps >= 0:
             raise ConfigError(f"eps must be non-negative, got {self.eps}")
         if not self.eta >= 0:

@@ -3,10 +3,13 @@
 A teacher mixture with well-separated components is discretized onto a
 fixed grid; a capacity-restricted student (one binned Gaussian with two
 free parameters, mean and log-width) descends each divergence via central
-finite differences. Under reverse KL the restricted student concentrates
-on the dominant component with terminal cost -log(alpha_dominant); under
-forward KL it spreads over every component; JSD lands in between, giving
-the strict secondary-mass ordering rev < jsd < fwd.
+finite differences, with one batched divergence call per step on the
+current student and its four-point stencil (bit-identical to evaluating
+the five students one at a time). Under reverse KL the restricted student
+concentrates on the dominant component with terminal cost
+-log(alpha_dominant); under forward KL it spreads over every component;
+JSD lands in between, giving the strict secondary-mass ordering
+rev < jsd < fwd.
 
 An unconstrained tabular control arm (exact closed-form logit gradients,
 one logit per bin) is also provided: with full capacity every divergence
@@ -23,8 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .divergence import DivergenceKind, divergence_value, logit_gradient
-from .simplex import Distribution, LogitVector, floor_and_renormalize, softmax
+from .divergence import DivergenceKind, batch, divergence_value
+from .simplex import (
+    Distribution,
+    LogitVector,
+    floor_and_renormalize,
+    softmax,
+    softmax_rows,
+    validate_logits,
+    validate_probs,
+)
 
 _TEACHER_FLOOR = 1e-12
 
@@ -53,17 +64,19 @@ class Grid:
         return 0.5 * (edges[:-1] + edges[1:])
 
 
-def _binned_gaussian(grid: Grid, mean: float, width: float) -> np.ndarray:
-    """Bin masses of N(mean, width^2) on the grid via CDF differences.
+def _binned_gaussian(edges: np.ndarray, mean, width) -> np.ndarray:
+    """Bin masses of N(mean, width^2) between consecutive edges via CDF
+    differences; (R, 1) columns of means and widths give one row each.
 
     The upper tail is computed through the survival function so masses stay
     positive out to ~37 widths instead of collapsing to exact zero where
-    ndtr saturates at 1.
+    ndtr saturates at 1. Every entry depends only on its own row, so a
+    stacked call is bit-identical to one call per row.
     """
-    z = (grid.edges - mean) / width
+    z = (edges - mean) / width
     lower = np.diff(ndtr(z))
     upper = -np.diff(ndtr(-z))
-    return np.where(z[:-1] >= 0, upper, lower)
+    return np.where(z[..., :-1] >= 0, upper, lower)
 
 
 @dataclass(frozen=True)
@@ -110,9 +123,10 @@ class BinnedMixture:
         return self.weights.size
 
     def distribution(self) -> Distribution:
+        edges = self.grid.edges
         mass = np.zeros(self.grid.bins)
         for a, c in zip(self.weights, self.centers):
-            mass += a * _binned_gaussian(self.grid, float(c), self.sigma)
+            mass += a * _binned_gaussian(edges, float(c), self.sigma)
         return Distribution(mass / mass.sum())
 
     def mode_assignment(self) -> np.ndarray:
@@ -138,7 +152,7 @@ class RestrictedStudent:
         return math.exp(self.log_width)
 
     def distribution(self, grid: Grid) -> Distribution:
-        mass = _binned_gaussian(grid, self.mean, self.width)
+        mass = _binned_gaussian(grid.edges, self.mean, self.width)
         total = mass.sum()
         if total <= 0:
             raise ValueError("student has no mass on the grid")
@@ -204,6 +218,56 @@ def mode_masses(q: Distribution, teacher: BinnedMixture) -> np.ndarray:
 _PRECONDITIONER = np.array([1.0, 0.1])
 
 
+#: Rows of one descent step's block, in units of h on (mean, log_width):
+#: the current student, then the +/- pair of each coordinate in the order
+#: the scalar central difference evaluated them.
+_STENCIL = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+
+def _width(log_width: float) -> float:
+    """RestrictedStudent.width, but inf where math.exp overflows, so that
+    the row has no mass and only raises if the descent reads it. (np.exp
+    differs from math.exp in the last bit on some inputs.)"""
+    try:
+        return math.exp(log_width)
+    except OverflowError:
+        return math.inf
+
+
+def _costs(
+    kind: DivergenceKind, P: np.ndarray, grid: Grid, edges: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """Divergence of the teacher rows P from the student at each
+    (mean, log_width) row of `rows`, in one batched call.
+
+    Rows are read as the scalar descent read them: the first row, then each
+    stencil pair while every cost before it is finite. The first row read
+    that is not a valid student raises the error RestrictedStudent raises
+    for it; rows past a non-finite cost are not checked.
+    """
+    widths = np.array([_width(log_width) for log_width in rows[:, 1]])
+    mass = _binned_gaussian(edges, rows[:, :1], widths[:, None])
+    totals = mass.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # massless rows are checked below
+        Q = mass / totals[:, None]
+    values = batch(kind, P[: len(rows)], Q, grad=False)[0]
+    finite = np.isfinite(values)
+    read = 1
+    while read < len(rows) and finite[:read].all():
+        read += 2
+    try:
+        if not (np.isfinite(rows[:read]).all() and (totals[:read] > 0).all()):
+            raise ValueError("student rows without finite parameters or mass")
+        validate_probs(Q[:read])
+    except ValueError:
+        # Re-derive the rows read one at a time: the first bad one raises
+        # exactly what the scalar descent raised for it.
+        for mean, log_width in rows[:read]:
+            RestrictedStudent(float(mean), float(log_width)).distribution(grid)
+        raise
+    return values
+
+
 def fit(
     kind: DivergenceKind,
     teacher: BinnedMixture,
@@ -214,6 +278,13 @@ def fit(
 ) -> FitResult:
     """Finite-difference gradient descent on the two student parameters.
 
+    Each step makes one batched divergence call on a (5, bins) block: the
+    current student, whose cost enters cost_series, and its central
+    difference stencil (+/-h in mean, then in log-width), which gives the
+    next iterate; the final step evaluates the student alone. Costs,
+    iterates, mode masses and errors are bit-identical to evaluating the
+    five students one at a time.
+
     The teacher distribution is floored at 1e-12 so reverse KL stays finite
     no matter where the student wanders. A non-finite cost anywhere in the
     descent halves the learning rate and restarts, up to 5 times.
@@ -221,51 +292,39 @@ def fit(
     p = floor_and_renormalize(teacher.distribution(), _TEACHER_FLOOR)
     if init is None:
         init = RestrictedStudent.neutral(teacher)
-
-    def cost(params: np.ndarray) -> float:
-        student = RestrictedStudent(mean=float(params[0]), log_width=float(params[1]))
-        return divergence_value(kind, p, student.distribution(teacher.grid))
+    P = np.tile(p.probs, (len(_STENCIL), 1))
+    edges = teacher.grid.edges
+    stencil = h * _STENCIL
 
     trace: list[float] = []
     for attempt in range(6):
         eff_lr = lr / (2**attempt)
         params = np.array([init.mean, init.log_width])
-        costs = [cost(params)]
-        param_trace = [params.copy()]
-        ok = math.isfinite(costs[0])
-        if ok:
-            for _ in range(steps):
-                grad = np.zeros(2)
-                finite = True
-                for i in range(2):
-                    up, down = params.copy(), params.copy()
-                    up[i] += h
-                    down[i] -= h
-                    fu, fd = cost(up), cost(down)
-                    if not (math.isfinite(fu) and math.isfinite(fd)):
-                        finite = False
-                        break
-                    grad[i] = (fu - fd) / (2 * h)
-                if not finite:
-                    ok = False
-                    break
-                params = params - eff_lr * _PRECONDITIONER * grad
-                c = cost(params)
-                if not math.isfinite(c):
-                    ok = False
-                    break
-                costs.append(c)
-                param_trace.append(params.copy())
-        if ok:
-            student = RestrictedStudent(mean=float(params[0]), log_width=float(params[1]))
-            q = student.distribution(teacher.grid)
-            return FitResult(
-                kind=str(kind),
-                student=student,
-                cost_series=np.asarray(costs),
-                mode_masses=mode_masses(q, teacher),
-                param_trace=np.asarray(param_trace),
-            )
+        costs: list[float] = []
+        param_trace = []
+        while True:
+            last = len(costs) == steps
+            values = _costs(kind, P, teacher.grid, edges, params + stencil[: 1 if last else None])
+            c = float(values[0])
+            if not math.isfinite(c):
+                costs = costs or [c]  # a non-finite initial cost is kept in the trace
+                break
+            costs.append(c)
+            param_trace.append(params)
+            if last:
+                student = RestrictedStudent(mean=float(params[0]), log_width=float(params[1]))
+                q = student.distribution(teacher.grid)
+                return FitResult(
+                    kind=str(kind),
+                    student=student,
+                    cost_series=np.asarray(costs),
+                    mode_masses=mode_masses(q, teacher),
+                    param_trace=np.asarray(param_trace),
+                )
+            if not np.isfinite(values[1:]).all():
+                break
+            grad = (values[1::2] - values[2::2]) / (2 * h)
+            params = params - eff_lr * _PRECONDITIONER * grad
         trace = costs
     raise ModeFitError(trace)
 
@@ -296,12 +355,14 @@ def fit_unconstrained(
     to the mixture weights rather than concentrating.
     """
     p = floor_and_renormalize(teacher.distribution(), _TEACHER_FLOOR)
+    P = p.probs[None]
     z = np.zeros(teacher.grid.bins)
     costs = []
     for _ in range(steps):
-        rep = logit_gradient(kind, p, LogitVector(z))
-        costs.append(rep.value)
-        z = z - lr * rep.logit_grad
+        validate_logits(z)
+        values, g = batch(kind, P, softmax_rows(z[None]))
+        costs.append(float(values[0]))
+        z = z - lr * g[0]
         z -= z.max()  # shift invariance; keeps the spread bounded
     q = softmax(LogitVector(z))
     costs.append(divergence_value(kind, p, q))

@@ -379,10 +379,13 @@ class TestCli:
             ("opad", {"experiment": "opad", "iterations": 2}, "out_dir"),  # --out is a file
             ("opad", {"experiment": "opad", "num_teachers": 3}, "num_teachers"),
             ("debate-demo", {"experiment": "debate-demo", "num_teachers": 3}, "num_teachers"),
+            ("opad", {"experiment": "opad", "conf_temperature": 1e-300}, "conf_temperature"),
+            ("opad", {"experiment": "opad", "iterations": 10**15}, "iterations"),
         ],
         ids=["not-an-object", "str-seed", "float-iterations", "float-seed",
              "eps-above-inverse-vocab", "out-is-a-file", "opad-teacher-count",
-             "debate-demo-teacher-count"],
+             "debate-demo-teacher-count", "underflowing-conf-temperature",
+             "unallocatable-iterations"],
     )
     def test_bad_input_is_named_config_error(self, tmp_path, capsys, experiment, config, field):
         path = tmp_path / "config.json"

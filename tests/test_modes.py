@@ -3,17 +3,100 @@ import math
 import numpy as np
 import pytest
 
-from debatekd.divergence import FORWARD_KL, REVERSE_KL, divergence_value, jsd_kind
+from debatekd.divergence import (
+    FORWARD_KL,
+    REVERSE_KL,
+    divergence_value,
+    jsd_kind,
+    logit_gradient,
+)
 from debatekd.modes import (
+    _PRECONDITIONER,
+    _TEACHER_FLOOR,
     BinnedMixture,
+    FitResult,
     Grid,
+    ModeFitError,
     RestrictedStudent,
     coverage_ordering,
     fit,
     fit_unconstrained,
     mode_masses,
 )
-from debatekd.simplex import Distribution
+from debatekd.simplex import Distribution, LogitVector, floor_and_renormalize, softmax
+
+C07_GRID = [(alpha, sep) for alpha in (0.55, 0.6, 0.7) for sep in (6.0, 8.0, 12.0)]
+KINDS = (REVERSE_KL, jsd_kind(0.5), FORWARD_KL)
+
+
+def scalar_fit(kind, teacher, init=None, steps=600, lr=0.5, h=1e-6):
+    """Reference for `fit`: one scalar cost evaluation per student, the
+    stencil pair of each coordinate and then the next iterate."""
+    p = floor_and_renormalize(teacher.distribution(), _TEACHER_FLOOR)
+    if init is None:
+        init = RestrictedStudent.neutral(teacher)
+
+    def cost(params: np.ndarray) -> float:
+        student = RestrictedStudent(mean=float(params[0]), log_width=float(params[1]))
+        return divergence_value(kind, p, student.distribution(teacher.grid))
+
+    trace: list[float] = []
+    for attempt in range(6):
+        eff_lr = lr / (2**attempt)
+        params = np.array([init.mean, init.log_width])
+        costs = [cost(params)]
+        param_trace = [params.copy()]
+        ok = math.isfinite(costs[0])
+        if ok:
+            for _ in range(steps):
+                grad = np.zeros(2)
+                finite = True
+                for i in range(2):
+                    up, down = params.copy(), params.copy()
+                    up[i] += h
+                    down[i] -= h
+                    fu, fd = cost(up), cost(down)
+                    if not (math.isfinite(fu) and math.isfinite(fd)):
+                        finite = False
+                        break
+                    grad[i] = (fu - fd) / (2 * h)
+                if not finite:
+                    ok = False
+                    break
+                params = params - eff_lr * _PRECONDITIONER * grad
+                c = cost(params)
+                if not math.isfinite(c):
+                    ok = False
+                    break
+                costs.append(c)
+                param_trace.append(params.copy())
+        if ok:
+            student = RestrictedStudent(mean=float(params[0]), log_width=float(params[1]))
+            q = student.distribution(teacher.grid)
+            return FitResult(
+                kind=str(kind),
+                student=student,
+                cost_series=np.asarray(costs),
+                mode_masses=mode_masses(q, teacher),
+                param_trace=np.asarray(param_trace),
+            )
+        trace = costs
+    raise ModeFitError(trace)
+
+
+def scalar_fit_unconstrained(kind, teacher, steps=8000, lr=2.0):
+    """Reference for `fit_unconstrained`: validated value types every step."""
+    p = floor_and_renormalize(teacher.distribution(), _TEACHER_FLOOR)
+    z = np.zeros(teacher.grid.bins)
+    costs = []
+    for _ in range(steps):
+        rep = logit_gradient(kind, p, LogitVector(z))
+        costs.append(rep.value)
+        z = z - lr * rep.logit_grad
+        z -= z.max()
+    q = softmax(LogitVector(z))
+    costs.append(divergence_value(kind, p, q))
+    return np.asarray(costs), q
 
 
 class TestBinnedMixture:
@@ -91,8 +174,6 @@ class TestRestrictedFit:
         assert {"kind", "terminal_cost", "mode_masses"} <= set(payload)
 
     def test_unrecoverable_descent_aborts_with_trace(self):
-        from debatekd.modes import ModeFitError
-
         teacher = BinnedMixture.two_mode(alpha=0.6, separation=8.0)
         # a sliver of a student at the grid edge leaves most bins with zero
         # mass, so the forward-KL cost is infinite at init and stays so
@@ -101,6 +182,75 @@ class TestRestrictedFit:
         with pytest.raises(ModeFitError) as err:
             fit(FORWARD_KL, teacher, init=bad_init)
         assert len(err.value.trace) >= 1
+        with pytest.raises(ModeFitError) as ref:
+            scalar_fit(FORWARD_KL, teacher, init=bad_init)
+        assert np.asarray(err.value.trace).tobytes() == np.asarray(ref.value.trace).tobytes()
+        assert str(err.value) == str(ref.value)
+
+
+class TestBatchedFitMatchesScalarReference:
+    """One batched stencil call per step is bit-identical to the scalar
+    central difference: costs, iterates, mode masses and errors."""
+
+    @staticmethod
+    def assert_same_fit(got, want):
+        assert got.cost_series.tobytes() == want.cost_series.tobytes()
+        assert got.param_trace.tobytes() == want.param_trace.tobytes()
+        assert got.mode_masses.tobytes() == want.mode_masses.tobytes()
+        assert got.student == want.student
+
+    @pytest.mark.parametrize("alpha, sep", C07_GRID)
+    def test_c07_cells_short_descent(self, alpha, sep):
+        teacher = BinnedMixture.two_mode(alpha=alpha, separation=sep)
+        for kind in KINDS:
+            self.assert_same_fit(
+                fit(kind, teacher, steps=50, lr=0.2), scalar_fit(kind, teacher, steps=50, lr=0.2)
+            )
+
+    def test_full_descent(self):
+        teacher = BinnedMixture.two_mode(alpha=0.6, separation=8.0)
+        for kind in KINDS:
+            self.assert_same_fit(fit(kind, teacher, lr=0.2), scalar_fit(kind, teacher, lr=0.2))
+
+    @staticmethod
+    def outcome(descent, *args, **kwargs):
+        try:
+            res = descent(*args, **kwargs)
+        except ModeFitError as exc:
+            return "ModeFitError", np.asarray(exc.trace).tobytes()
+        except ValueError as exc:
+            return "ValueError", str(exc)
+        return "ok", res.cost_series.tobytes(), res.param_trace.tobytes()
+
+    # A sliver student just past the grid's upper edge: its mass there is
+    # tiny but positive, and a stencil step of h=1 leaves the grid entirely.
+    SLIVER = RestrictedStudent(mean=14.0 + 1.5, log_width=math.log(0.05))
+
+    @pytest.mark.parametrize(
+        "kind, kwargs, expected",
+        [
+            (FORWARD_KL, {"steps": 40, "lr": 80.0}, "ValueError"),
+            # the centre's cost is infinite, so its stencil is never read
+            (FORWARD_KL, {"init": SLIVER, "h": 1.0}, "ModeFitError"),
+            # shifting the mean by h=70 leaves bins without mass, so the cost
+            # is infinite and the massless width-e^70 pair is never read
+            (FORWARD_KL, {"init": RestrictedStudent(0.0, math.log(2.0)), "h": 70.0},
+             "ModeFitError"),
+            # the final step reads the centre alone
+            (REVERSE_KL, {"init": SLIVER, "h": 1.0, "steps": 0}, "ok"),
+            (REVERSE_KL, {"init": SLIVER, "h": 1.0, "steps": 1}, "ValueError"),
+        ],
+        ids=["step-leaves-the-grid", "stencil-beside-infinite-cost",
+             "width-pair-after-infinite-mean-pair", "final-step", "stencil-leaves-the-grid"],
+    )
+    def test_same_outcome_where_a_student_is_invalid(self, kind, kwargs, expected):
+        teacher = BinnedMixture.two_mode(alpha=0.6, separation=8.0)
+        assert teacher.grid.hi == 14.0
+        got = self.outcome(fit, kind, teacher, **kwargs)
+        assert got == self.outcome(scalar_fit, kind, teacher, **kwargs)
+        assert got[0] == expected
+        if expected == "ValueError":
+            assert got[1] == "student has no mass on the grid"
 
 
 class TestCoverageOrdering:
@@ -133,3 +283,11 @@ class TestUnconstrainedControl:
         teacher = BinnedMixture.two_mode(alpha=0.6, separation=8.0)
         res = fit_unconstrained(REVERSE_KL, teacher)
         np.testing.assert_allclose(res.mode_masses, [0.6, 0.4], atol=0.01)
+
+    @pytest.mark.parametrize("kind", [FORWARD_KL, REVERSE_KL], ids=str)
+    def test_matches_validated_reference_bit_for_bit(self, kind):
+        teacher = BinnedMixture.two_mode(alpha=0.6, separation=8.0)
+        res = fit_unconstrained(kind, teacher, steps=2000)
+        costs, q = scalar_fit_unconstrained(kind, teacher, steps=2000)
+        assert res.cost_series.tobytes() == costs.tobytes()
+        assert res.q.probs.tobytes() == q.probs.tobytes()
