@@ -129,7 +129,7 @@ def flattened_row(
 ) -> Distribution:
     """Temperature-flattened peaked row: normalize(p ** (1/temperature))."""
     if temperature < 1:
-        raise ValueError(f"flat_temperature must be >= 1, got {temperature}")
+        raise ValueError(f"temperature must be >= 1, got {temperature}")
     base = peaked_row(vocab, peak_index, peak_mass)
     return Distribution.from_weights(base.probs ** (1.0 / temperature))
 
@@ -149,17 +149,17 @@ class MockTeacherSpec:
 
     base_table holds one joint action distribution per state. On states in
     the competence set the table peaks on a correct action with mass at
-    least peak_mass; elsewhere it is flattened (top mass at most 0.5).
-    revision_rate is the geometric-pooling rate lambda; 0 disables revision
-    entirely. confidence_override, when set, replaces the top-probability
-    self-report with a fixed value (miscalibrated-confidence experiments).
+    least peak_mass; elsewhere it is flattened (top mass at most 0.5), e.g.
+    by flattened_row, which checks its own temperature. revision_rate is
+    the geometric-pooling rate lambda; 0 disables revision entirely.
+    confidence_override, when set, replaces the top-probability self-report
+    with a fixed value (miscalibrated-confidence experiments).
     """
 
     name: str
     base_table: dict[StateKey, Distribution]
     competence_set: frozenset = frozenset()
     peak_mass: float = 0.9
-    flat_temperature: float = 1.0
     revision_rate: float = 0.5
     action_shape: tuple[int, int] | None = None
     confidence_override: float | None = None
@@ -167,8 +167,6 @@ class MockTeacherSpec:
     def __post_init__(self):
         if not 0 <= self.revision_rate <= 1:
             raise ValueError(f"revision_rate must lie in [0, 1], got {self.revision_rate}")
-        if self.flat_temperature < 1:
-            raise ValueError("flat_temperature must be >= 1")
         for state in self.competence_set:
             row = self.base_table[state]
             if float(row.probs.max()) < self.peak_mass:

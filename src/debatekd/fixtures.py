@@ -86,7 +86,6 @@ def complementary_fixture(
             base_table=table,
             competence_set=competence[name],
             peak_mass=peak_mass,
-            flat_temperature=temperature,
             revision_rate=revision_rate,
             action_shape=(n_tools, n_args),
         )

@@ -332,8 +332,7 @@ def _run_debate_demo(config: RunConfig, out: Path) -> dict:
     consensus_hits = 0
     for state in range(world.n_states):
         result = run_debate(teachers, state, config.rounds)
-        scores = ConfidenceScores.from_raw(result.confidences, config.conf_temperature)
-        w = confidence_to_weights(scores)
+        w = confidence_to_weights(ConfidenceScores(result.confidences, config.conf_temperature))
         mix = np.zeros(world.joint_vocab)
         for wk, dist in zip(w.weights, result.post_dists):
             mix += wk * dist.probs

@@ -143,18 +143,26 @@ def sample(p: Distribution, rng: np.random.Generator, size: int | None = None):
     return rng.choice(p.vocab_size, size=size, p=p.probs / p.probs.sum())
 
 
+def floor_rows(probs: np.ndarray, eps: float) -> np.ndarray:
+    """Raise every entry of every row (last axis) to at least eps, then
+    renormalize each row; unvalidated. eps=0 returns probs itself."""
+    vocab = probs.shape[-1]
+    if not 0 <= eps < 1.0 / vocab:
+        raise ValueError(f"eps must be in [0, 1/|V|) = [0, {1.0 / vocab}), got {eps}")
+    if eps == 0:
+        return probs
+    floored = np.maximum(probs, eps)
+    return floored / floored.sum(axis=-1, keepdims=True)
+
+
 def floor_and_renormalize(p: Distribution, eps: float) -> Distribution:
     """Raise every entry to at least eps, then renormalize.
 
     eps=0 is the identity; the uniform distribution is a fixed point for any
     valid eps. Every output entry is at least eps/(1 + |V|*eps).
     """
-    if not 0 <= eps < 1.0 / p.vocab_size:
-        raise ValueError(f"eps must be in [0, 1/|V|) = [0, {1.0 / p.vocab_size}), got {eps}")
-    if eps == 0:
-        return p
-    floored = np.maximum(p.probs, eps)
-    return Distribution(floored / floored.sum())
+    floored = floor_rows(p.probs, eps)
+    return p if eps == 0 else Distribution(floored)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,17 @@ and its own sampled tokens.
 Per-step loss is the token mean of the confidence-weighted multi-teacher
 divergence over the action's two positions; the trajectory loss sums
 per-step contributions.
+
+Between the debate and the loss the step works on plain arrays: the K
+post-debate tables are stacked, the tool marginals and the arg rows of the
+sampled tool are taken by indexing and floored row-wise, and each target is
+wrapped in a validated Distribution once, because the divergence takes one.
+Sampling draws from unboxed softmax rows after the same logit check a
+LogitVector makes.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +29,14 @@ import numpy as np
 from .debate import Teacher, run_debate
 from .divergence import DivergenceKind
 from .simplex import (
+    _MAX_LOGIT_SPREAD,
     DEFAULT_FLOOR,
     Distribution,
     LogitVector,
     RngSeed,
-    floor_and_renormalize,
-    sample,
-    softmax,
+    floor_rows,
+    softmax_rows,
+    validate_logits,
 )
 from .weighting import (
     ConfidenceScores,
@@ -40,11 +47,6 @@ from .weighting import (
 )
 
 Action = tuple[int, int]
-
-
-class Observation(enum.Enum):
-    OK = "ok"
-    ERR = "err"
 
 
 @dataclass(frozen=True)
@@ -95,12 +97,9 @@ class ToolWorld:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """On-policy rollout: per-step (state, sampled action, observation)."""
+    """On-policy rollout: per-step (state, sampled action)."""
 
-    steps: tuple[tuple[int, Action, Observation], ...]
-
-    def __len__(self) -> int:
-        return len(self.steps)
+    steps: tuple[tuple[int, Action], ...]
 
 
 @dataclass
@@ -138,8 +137,16 @@ class StudentPolicy:
         return LogitVector(self.arg_logits[state, tool])
 
     def sample_action(self, state: int, rng: np.random.Generator) -> Action:
-        tool = int(sample(softmax(self.tool_row(state)), rng))
-        arg = int(sample(softmax(self.arg_row(state, tool)), rng))
+        """Draw the tool, then the arg under it, as simplex.sample would
+        from the softmax of each checked row."""
+        row = self.tool_logits[state]
+        validate_logits(row)
+        q = softmax_rows(row)
+        tool = int(rng.choice(q.size, p=q / q.sum()))
+        row = self.arg_logits[state, tool]
+        validate_logits(row)
+        q = softmax_rows(row)
+        arg = int(rng.choice(q.size, p=q / q.sum()))
         return (tool, arg)
 
     def argmax_action(self, state: int) -> Action:
@@ -156,8 +163,7 @@ def rollout(
     state = x
     for _ in range(world.max_steps):
         action = policy.sample_action(state, rng)
-        obs = Observation.OK if action in world.accepted(state) else Observation.ERR
-        steps.append((state, action, obs))
+        steps.append((state, action))
         state = world.next_state(state, action)
     return Trajectory(steps=tuple(steps))
 
@@ -173,24 +179,22 @@ def force_decode_targets(
     Position 1 target is each teacher's tool marginal; position 2 is its
     arg distribution conditioned on the student's sampled tool (the teacher
     scores the student's token sequence, it does not re-decide the tool).
-    Both are floored at eps afterward.
+    Both are floored at eps afterward. A teacher with no mass on the sampled
+    tool is reported before an out-of-range eps, whichever teacher it is.
     """
-    tool_targets, arg_targets = [], []
-    for post in post_dists:
-        joint = post.probs.reshape(world.n_tools, world.n_args)
-        marginal = joint.sum(axis=1)
-        row = joint[sampled_tool]
-        row_mass = row.sum()
-        if row_mass <= 0:
-            raise ValueError(
-                f"teacher assigns zero mass to sampled tool {sampled_tool}; "
-                "cannot condition the arg position"
-            )
-        tool_targets.append(
-            floor_and_renormalize(Distribution(marginal / marginal.sum()), eps)
+    joint = np.stack([post.probs for post in post_dists])
+    joint = joint.reshape(len(post_dists), world.n_tools, world.n_args)
+    marginals = joint.sum(axis=2)
+    rows = joint[:, sampled_tool]
+    row_mass = rows.sum(axis=1, keepdims=True)
+    if (row_mass <= 0).any():
+        raise ValueError(
+            f"teacher assigns zero mass to sampled tool {sampled_tool}; "
+            "cannot condition the arg position"
         )
-        arg_targets.append(floor_and_renormalize(Distribution(row / row_mass), eps))
-    return tool_targets, arg_targets
+    tool_targets = floor_rows(marginals / marginals.sum(axis=1, keepdims=True), eps)
+    arg_targets = floor_rows(rows / row_mass, eps)
+    return [Distribution(t) for t in tool_targets], [Distribution(a) for a in arg_targets]
 
 
 def step_token_losses(
@@ -202,7 +206,6 @@ def step_token_losses(
     state: int,
     action: Action,
     eps: float,
-    allow_infinite: bool = False,
 ) -> tuple[TokenLossReport, TokenLossReport]:
     """Weighted token losses at the action's two positions.
 
@@ -215,9 +218,7 @@ def step_token_losses(
     tool_targets, arg_targets = force_decode_targets(world, post_dists, tool, eps)
     tool_rep = multi_teacher_token_loss(kind, tool_targets, w, policy.tool_row(state))
     arg_rep = multi_teacher_token_loss(kind, arg_targets, w, policy.arg_row(state, tool))
-    if not allow_infinite and not (
-        np.isfinite(tool_rep.value) and np.isfinite(arg_rep.value)
-    ):
+    if not (np.isfinite(tool_rep.value) and np.isfinite(arg_rep.value)):
         offenders = tool_rep.offending_teachers + arg_rep.offending_teachers
         raise ValueError(
             f"infinite {kind.name} loss at state {state} (teachers {offenders}); "
@@ -241,8 +242,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.rounds < 1 or self.iterations < 1:
             raise ValueError("rounds and iterations must be >= 1")
-        if self.eta < 0 or self.eps < 0:
-            raise ValueError("eta and eps must be non-negative")
+        for name in ("eta", "eps"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name}: must be non-negative, got {getattr(self, name)}")
+        # A 100-point confidence spread is a weight-logit spread of 1/tau_conf;
+        # past the softmax ceiling the least confident teacher's weight is 0.
+        if not self.tau_conf >= 1.0 / _MAX_LOGIT_SPREAD:
+            raise ValueError(
+                f"tau_conf: must be at least 1/{_MAX_LOGIT_SPREAD:g}, got {self.tau_conf}"
+            )
         if self.kind.name in ("forward_kl", "reverse_kl") and self.eps == 0:
             raise ValueError(
                 f"eps: {self.kind.name} training requires a positive teacher floor, "
@@ -280,19 +288,15 @@ def task_accuracy(policy: StudentPolicy, world: ToolWorld) -> float:
     return hits / world.n_states
 
 
-def _row_usable(row: np.ndarray) -> bool:
-    """A logit row the next iteration can still softmax: finite entries
-    whose spread does not underflow the smallest probability to zero."""
-    if not np.all(np.isfinite(row)):
-        return False
-    with np.errstate(over="ignore"):
-        return float(row.max() - row.min()) <= 700.0
-
-
 def _first_unusable_step(policy: StudentPolicy, traj: Trajectory) -> int | None:
-    """First step of traj whose tool or arg row is no longer usable."""
-    for m, (s, (tool, _), _obs) in enumerate(traj.steps):
-        if not (_row_usable(policy.tool_logits[s]) and _row_usable(policy.arg_logits[s, tool])):
+    """First step of traj whose tool or arg row the next iteration could not
+    softmax (simplex.validate_logits rejects it)."""
+    for m, (s, (tool, _)) in enumerate(traj.steps):
+        try:
+            with np.errstate(over="ignore"):
+                validate_logits(policy.tool_logits[s])
+                validate_logits(policy.arg_logits[s, tool])
+        except ValueError:
             return m
     return None
 
@@ -326,10 +330,9 @@ def train(world: ToolWorld, teachers: list[Teacher], config: TrainConfig) -> Tra
         arg_grads: dict[tuple[int, int], np.ndarray] = {}
         total_loss = 0.0
 
-        for m, (state, action, _obs) in enumerate(traj.steps):
+        for m, (state, action) in enumerate(traj.steps):
             result = run_debate(teachers, state, config.rounds)
-            scores = ConfidenceScores.from_raw(result.confidences, config.tau_conf)
-            w = confidence_to_weights(scores)
+            w = confidence_to_weights(ConfidenceScores(result.confidences, config.tau_conf))
 
             tool_rep, arg_rep = step_token_losses(
                 kind=config.kind,

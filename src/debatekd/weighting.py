@@ -9,7 +9,6 @@ per-teacher gradients, and teacher distributions are constants.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -18,12 +17,15 @@ import numpy as np
 from .divergence import DivergenceKind, logit_gradient
 from .simplex import Distribution, LogitVector
 
-logger = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class ConfidenceScores:
-    """Per-teacher self-reported confidences with a softmax temperature."""
+    """Per-teacher self-reported confidences with a softmax temperature.
+
+    Scores outside [0, 100] or non-finite are rejected, not clamped: every
+    confidence in this package comes from an Utterance, whose constructor
+    already enforces that range.
+    """
 
     scores: np.ndarray
     tau_conf: float = 1.0
@@ -41,20 +43,6 @@ class ConfidenceScores:
         scores = scores.copy()
         scores.flags.writeable = False
         object.__setattr__(self, "scores", scores)
-
-    @staticmethod
-    def from_raw(scores, tau_conf: float = 1.0) -> "ConfidenceScores":
-        """Adapter entry point: clamp out-of-range scores to [0, 100].
-
-        Teacher adapters own parsing; a malformed or missing report should
-        arrive here as 0. Clamping is logged rather than silent.
-        """
-        arr = np.atleast_1d(np.asarray(scores, dtype=np.float64))
-        arr = np.where(np.isfinite(arr), arr, 0.0)
-        clamped = np.clip(arr, 0.0, 100.0)
-        if np.any(clamped != arr):
-            logger.warning("clamped out-of-range confidence scores %s -> %s", arr, clamped)
-        return ConfidenceScores(clamped, tau_conf)
 
     @property
     def num_teachers(self) -> int:

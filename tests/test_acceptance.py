@@ -199,7 +199,7 @@ def test_c09_debate_ceiling_break():
     hits = 0
     for state in range(world.n_states):
         result = run_debate(list(fixture.teachers), state, rounds=2)
-        w = confidence_to_weights(ConfidenceScores.from_raw(result.confidences))
+        w = confidence_to_weights(ConfidenceScores(result.confidences))
         mix = sum(wk * d.probs for wk, d in zip(w.weights, result.post_dists))
         hits += world.unflatten(int(np.argmax(mix))) in world.accepted(state)
     consensus = hits / world.n_states
@@ -273,7 +273,7 @@ def test_c12_reductions():
         traj = rollout(world, policy, x, rng)
         total = 0.0
         tool_grads, arg_grads = {}, {}
-        for state, action, _obs in traj.steps:
+        for state, action in traj.steps:
             joint = teacher.base_dist(state).probs.reshape(world.n_tools, world.n_args)
             tool_t = floor_and_renormalize(Distribution(joint.sum(axis=1)), config.eps)
             arg_row = joint[action[0]]

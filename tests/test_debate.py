@@ -2,7 +2,7 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from debatekd.debate import (
@@ -32,6 +32,46 @@ def brute_force_pool(base, prevs, rate):
     for prev in prevs:
         pooled = pooled * prev ** (rate / k)
     return pooled / pooled.sum()
+
+
+# Strategies of the adversarial transcript property, built once: building
+# them inside the test body made data generation trip hypothesis's
+# too_slow health check on a loaded host.
+_NUMBER = st.one_of(
+    st.integers(min_value=0, max_value=200),
+    st.integers(min_value=10**15, max_value=10**60),
+).map(str)
+_CONFIDENCE = st.one_of(
+    _NUMBER,
+    st.builds("{}.{}".format, _NUMBER, st.text("0123456789", min_size=1, max_size=8)),
+    st.sampled_from(["100.0", "100.01", "0.00001", "0.0000001", "1" + "0" * 400]),
+)
+
+
+def _cell(letter, round_word):
+    return st.builds(
+        "[Expert {} {} Answer]: {} | Confidence Score: {}".format,
+        letter,
+        round_word,
+        st.lists(_NUMBER, min_size=1, max_size=3).map(" ".join),
+        _CONFIDENCE,
+    )
+
+
+def _grid_word(r):
+    named = {1: ["Initial", "Round 1", "Round 01"], 2: ["Revised", "Round 2"]}
+    return st.sampled_from(named.get(r, [f"Round {r}"]))
+
+
+_GRID_SIZE = st.integers(min_value=1, max_value=3)
+_GRID_CELLS = {
+    (k, r): _cell(st.just(chr(65 + k)), _grid_word(r)) for k in range(3) for r in range(1, 4)
+}
+_EDITS = st.integers(min_value=0, max_value=3)
+_NOISE = st.one_of(
+    _cell(st.sampled_from("ABDZ"), st.one_of(_grid_word(1), _NUMBER.map("Round {}".format))),
+    st.text(max_size=30),
+)
 
 
 class TestRows:
@@ -312,6 +352,7 @@ class TestTranscriptFormat:
         transcript = DebateTranscript(utterances=((cell,),))
         assert parse_transcript(serialize_transcript(transcript)) == transcript
 
+    @settings(suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
     def test_parse_rejects_or_round_trips_adversarial_text(self, data):
         """Malformed and adversarial blocks either raise ValueError or parse
@@ -321,43 +362,19 @@ class TestTranscriptFormat:
         confidences above 100 or below 1e-4, Round 0) is mangled by random
         insertions (noise, duplicate or stray cells) and deletions (gaps).
         """
-        number = st.one_of(
-            st.integers(min_value=0, max_value=200),
-            st.integers(min_value=10**15, max_value=10**60),
-        ).map(str)
-        confidence = st.one_of(
-            number,
-            st.builds("{}.{}".format, number, st.text("0123456789", min_size=1, max_size=8)),
-            st.sampled_from(["100.0", "100.01", "0.00001", "0.0000001", "1" + "0" * 400]),
-        )
-
-        def cell(letter, round_word):
-            return st.builds(
-                "[Expert {} {} Answer]: {} | Confidence Score: {}".format,
-                letter,
-                round_word,
-                st.lists(number, min_size=1, max_size=3).map(" ".join),
-                confidence,
-            )
-
-        def grid_word(r):
-            named = {1: ["Initial", "Round 1", "Round 01"], 2: ["Revised", "Round 2"]}
-            return st.sampled_from(named.get(r, [f"Round {r}"]))
-
-        n_teachers = data.draw(st.integers(min_value=1, max_value=3))
-        n_rounds = data.draw(st.integers(min_value=1, max_value=3))
+        n_teachers = data.draw(_GRID_SIZE)
+        n_rounds = data.draw(_GRID_SIZE)
         lines = [
-            data.draw(cell(st.just(chr(65 + k)), grid_word(r)))
+            data.draw(_GRID_CELLS[(k, r)])
             for r in range(1, n_rounds + 1)
             for k in range(n_teachers)
         ]
-        stray = cell(st.sampled_from("ABDZ"), st.one_of(grid_word(1), number.map("Round {}".format)))
-        for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        for _ in range(data.draw(_EDITS)):
             at = data.draw(st.integers(min_value=0, max_value=len(lines)))
             if data.draw(st.booleans()) and at < len(lines):
                 del lines[at]
             else:
-                lines.insert(at, data.draw(st.one_of(stray, st.text(max_size=30))))
+                lines.insert(at, data.draw(_NOISE))
         text = "\n".join(["[Debate Start]", *lines, "[Debate End]"])
         try:
             transcript = parse_transcript(text)

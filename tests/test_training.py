@@ -11,9 +11,8 @@ from debatekd.fixtures import (
     teacher_standalone_accuracy,
     two_strategy_fixture,
 )
-from debatekd.simplex import Distribution, RngSeed
+from debatekd.simplex import Distribution, LogitVector, RngSeed, sample, softmax
 from debatekd.training import (
-    Observation,
     StudentPolicy,
     ToolWorld,
     TrainConfig,
@@ -31,6 +30,51 @@ def teacher_table_hash(teacher) -> str:
     for state in sorted(teacher.spec.base_table):
         h.update(teacher.spec.base_table[state].probs.tobytes())
     return h.hexdigest()
+
+
+def reference_floor(p: Distribution, eps: float) -> Distribution:
+    """The scalar floor_and_renormalize that floor_rows replaced."""
+    if not 0 <= eps < 1.0 / p.vocab_size:
+        raise ValueError(f"eps must be in [0, 1/|V|) = [0, {1.0 / p.vocab_size}), got {eps}")
+    if eps == 0:
+        return p
+    floored = np.maximum(p.probs, eps)
+    return Distribution(floored / floored.sum())
+
+
+def reference_targets(world, post_dists, sampled_tool, eps):
+    """The per-teacher loop that force_decode_targets replaced."""
+    tool_targets, arg_targets = [], []
+    for post in post_dists:
+        joint = post.probs.reshape(world.n_tools, world.n_args)
+        marginal = joint.sum(axis=1)
+        row = joint[sampled_tool]
+        row_mass = row.sum()
+        if row_mass <= 0:
+            raise ValueError(
+                f"teacher assigns zero mass to sampled tool {sampled_tool}; "
+                "cannot condition the arg position"
+            )
+        tool_targets.append(reference_floor(Distribution(marginal / marginal.sum()), eps))
+        arg_targets.append(reference_floor(Distribution(row / row_mass), eps))
+    return tool_targets, arg_targets
+
+
+def reference_rollout(world, policy, x, rng):
+    """Rollout steps drawn through validated LogitVector/Distribution values."""
+    steps, state = [], x
+    for _ in range(world.max_steps):
+        tool = int(sample(softmax(LogitVector(policy.tool_logits[state])), rng))
+        arg = int(sample(softmax(LogitVector(policy.arg_logits[state, tool])), rng))
+        steps.append((state, (tool, arg)))
+        state = world.next_state(state, (tool, arg))
+    return tuple(steps)
+
+
+def raised(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
 
 
 def simple_world(n_states=6, n_tools=4, n_args=4, max_steps=4) -> ToolWorld:
@@ -69,18 +113,18 @@ class TestRollout:
         world = simple_world()
         policy = StudentPolicy.oracle(world)
         traj = rollout(world, policy, 0, RngSeed(0).stream("rollout"))
-        assert len(traj) == world.max_steps
-        assert all(obs is Observation.OK for _, _, obs in traj.steps)
+        assert len(traj.steps) == world.max_steps
+        assert all(action in world.accepted(s) for s, action in traj.steps)
 
     def test_single_step_world(self):
         world = simple_world(max_steps=1)
         traj = rollout(world, StudentPolicy.uniform(world), 0, RngSeed(0).stream("r"))
-        assert len(traj) == 1
+        assert len(traj.steps) == 1
 
     def test_states_follow_transition(self):
         world = simple_world(n_states=5)
         traj = rollout(world, StudentPolicy.uniform(world), 3, RngSeed(1).stream("r"))
-        states = [s for s, _, _ in traj.steps]
+        states = [s for s, _ in traj.steps]
         assert states == [3, 4, 0, 1]
 
     def test_uniform_policy_ok_rate_matches_product_of_marginals(self):
@@ -91,8 +135,29 @@ class TestRollout:
         n = 10_000
         for _ in range(n):
             traj = rollout(world, policy, int(rng.integers(4)), rng)
-            oks += sum(obs is Observation.OK for _, _, obs in traj.steps)
+            oks += sum(action in world.accepted(s) for s, action in traj.steps)
         assert abs(oks / n - 1 / 16) <= 0.02
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_draws_match_validated_value_reference(self, seed):
+        world = simple_world(n_states=5, n_tools=3, n_args=4)
+        rng = np.random.default_rng(seed)
+        policy = StudentPolicy(
+            tool_logits=rng.normal(scale=4.0, size=(5, 3)),
+            arg_logits=rng.normal(scale=4.0, size=(5, 3, 4)),
+        )
+        ours, ref = RngSeed(seed).stream("r"), RngSeed(seed).stream("r")
+        for x in range(world.n_states):
+            assert rollout(world, policy, x, ours).steps == reference_rollout(world, policy, x, ref)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("row", [[0.0, np.nan], [0.0, np.inf], [0.0, 701.0]])
+    def test_sampling_rejects_rows_as_logit_vector_does(self, row):
+        world = simple_world(n_states=1, n_tools=2, n_args=2)
+        policy = StudentPolicy.uniform(world)
+        policy.tool_logits[0] = row
+        rng = RngSeed(0).stream("r")
+        assert raised(policy.sample_action, 0, rng) == raised(LogitVector, np.array(row))
 
 
 class TestTaskAccuracy:
@@ -133,6 +198,32 @@ class TestStepLosses:
         np.testing.assert_allclose(tools[0].probs, [0.7, 0.3])
         np.testing.assert_allclose(args[0].probs, [5 / 7, 2 / 7])
 
+    @pytest.mark.parametrize("build", [complementary_fixture, privileged_gap_fixture, two_strategy_fixture])
+    @pytest.mark.parametrize("eps", [0.0, 1e-8])
+    def test_force_decode_targets_match_per_teacher_loop(self, build, eps):
+        fixture = build()
+        world = fixture.world
+        for state in range(world.n_states):
+            post = run_debate(list(fixture.teachers), state, 2).post_dists
+            for tool in range(world.n_tools):
+                ours = force_decode_targets(world, post, tool, eps)
+                ref = reference_targets(world, post, tool, eps)
+                for got, want in zip(ours, ref):
+                    assert [d.probs.tobytes() for d in got] == [d.probs.tobytes() for d in want]
+
+    def test_force_decode_targets_raise_as_per_teacher_loop(self):
+        world = simple_world(n_tools=2, n_args=2)
+        fine = Distribution(np.full(4, 0.25))
+        no_tool_one = Distribution(np.array([0.5, 0.5, 0.0, 0.0]))
+        for post, eps in [((fine, no_tool_one), 0.0), ((fine,), 0.5), ((fine,), float("nan"))]:
+            args = (world, post, 1, eps)
+            assert raised(force_decode_targets, *args) == raised(reference_targets, *args)
+        # Both faults at once: the zero-mass row is reported first, although
+        # the per-teacher loop hit the first teacher's eps error before it.
+        args = (world, (fine, no_tool_one), 1, 0.5)
+        assert "zero mass" in raised(force_decode_targets, *args)
+        assert "eps must be" in raised(reference_targets, *args)
+
     def test_infinite_loss_rejected_in_training_mode(self):
         world = simple_world(n_tools=2, n_args=2)
         policy = StudentPolicy.uniform(world)
@@ -142,18 +233,13 @@ class TestStepLosses:
             step_token_losses(
                 REVERSE_KL, world, (degenerate,), w, policy, 0, (0, 0), eps=0.0
             )
-        tool_rep, _ = step_token_losses(
-            REVERSE_KL,
-            world,
-            (degenerate,),
-            w,
-            policy,
-            0,
-            (0, 0),
-            eps=0.0,
-            allow_infinite=True,
-        )
-        assert tool_rep.value == np.inf
+
+    @pytest.mark.parametrize("field, value", [
+        ("eta", float("nan")), ("eps", float("nan")), ("tau_conf", 1e-300),
+    ])
+    def test_training_config_rejects_what_run_config_rejects(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}:"):
+            TrainConfig(kind=jsd_kind(), **{field: value})
 
     def test_eps_zero_reverse_kl_training_config_rejected(self):
         with pytest.raises(ValueError, match="floor"):
@@ -214,7 +300,7 @@ class TestTrainLoop:
             traj = rollout(world, policy, x, rng)
             total = 0.0
             tool_grads, arg_grads = {}, {}
-            for state, action, _obs in traj.steps:
+            for state, action in traj.steps:
                 joint = teacher.base_dist(state).probs.reshape(world.n_tools, world.n_args)
                 tool_t = floor_and_renormalize(
                     Distribution(joint.sum(axis=1)), cfg.eps

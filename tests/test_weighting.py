@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -62,16 +61,6 @@ class TestConfidenceToWeights:
             ConfidenceScores(np.array([-0.5]))
         with pytest.raises(ValueError):
             ConfidenceScores(np.array([50.0]), tau_conf=0.0)
-
-    def test_from_raw_clamps_and_logs(self, caplog):
-        with caplog.at_level(logging.WARNING):
-            scores = ConfidenceScores.from_raw([104.2, -3.0, 50.0])
-        np.testing.assert_array_equal(scores.scores, [100.0, 0.0, 50.0])
-        assert "clamped" in caplog.text
-
-    def test_from_raw_maps_nan_to_zero(self):
-        scores = ConfidenceScores.from_raw([float("nan"), 80.0])
-        assert scores.scores[0] == 0.0
 
 
 class TestTeacherWeights:
