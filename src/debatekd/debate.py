@@ -101,16 +101,17 @@ class Teacher:
     """Interface a debate participant must implement.
 
     `respond` receives the state and all prior rounds' responses (round 1
-    gets an empty list) and returns this round's response. A live-model
-    adapter would read the prior utterances; mocks read the prior
-    distributions. Responses must be deterministic functions of their
-    inputs so transcript assembly is order-independent within a round.
+    gets an empty list, so the round is len(prior_rounds) + 1) and returns
+    this round's response. A live-model adapter would read the prior
+    utterances; mocks read the prior distributions. Responses must be
+    deterministic functions of their inputs so transcript assembly is
+    order-independent within a round.
     """
 
     id: TeacherId
 
     def respond(
-        self, state: StateKey, prior_rounds: list[list["TeacherResponse"]], round_index: int
+        self, state: StateKey, prior_rounds: list[list["TeacherResponse"]]
     ) -> TeacherResponse:
         raise NotImplementedError
 
@@ -150,18 +151,20 @@ class MockTeacherSpec:
     base_table holds one joint action distribution per state. On states in
     the competence set the table peaks on a correct action with mass at
     least peak_mass; elsewhere it is flattened (top mass at most 0.5), e.g.
-    by flattened_row, which checks its own temperature. revision_rate is
-    the geometric-pooling rate lambda; 0 disables revision entirely.
-    confidence_override, when set, replaces the top-probability self-report
-    with a fixed value (miscalibrated-confidence experiments).
+    by flattened_row, which checks its own temperature. action_shape is
+    (n_tools, n_args): a flat table index decodes to the (tool, arg) pair
+    an utterance carries. revision_rate is the geometric-pooling rate
+    lambda; 0 disables revision entirely. confidence_override, when set,
+    replaces the top-probability self-report with a fixed value
+    (miscalibrated-confidence experiments).
     """
 
     name: str
     base_table: dict[StateKey, Distribution]
+    action_shape: tuple[int, int]
     competence_set: frozenset = frozenset()
     peak_mass: float = 0.9
     revision_rate: float = 0.5
-    action_shape: tuple[int, int] | None = None
     confidence_override: float | None = None
 
     def __post_init__(self):
@@ -211,34 +214,19 @@ class MockTeacher(Teacher):
         except KeyError:
             raise ValueError(f"teacher {self.spec.name!r} has no row for state {state!r}")
 
-    def _decode(self, flat_index: int) -> tuple[int, ...]:
-        if self.spec.action_shape is None:
-            return (flat_index,)
-        n_tools, n_args = self.spec.action_shape
-        return (flat_index // n_args, flat_index % n_args)
-
     def respond(
-        self, state: StateKey, prior_rounds: list[list[TeacherResponse]], round_index: int
+        self, state: StateKey, prior_rounds: list[list[TeacherResponse]]
     ) -> TeacherResponse:
-        base = self.base_dist(state)
-        if round_index == 1:
-            if prior_rounds:
-                raise ValueError("round 1 must not see prior responses")
-            dist = base
-        else:
-            if len(prior_rounds) != round_index - 1:
-                raise ValueError(
-                    f"round {round_index} expects {round_index - 1} prior rounds, "
-                    f"got {len(prior_rounds)}"
-                )
+        dist = self.base_dist(state)
+        if prior_rounds:
             prev = [resp.dist for resp in prior_rounds[-1]]
-            dist = geometric_pool(base, prev, self.spec.revision_rate)
+            dist = geometric_pool(dist, prev, self.spec.revision_rate)
         if self.spec.confidence_override is not None:
             confidence = float(self.spec.confidence_override)
         else:
             confidence = round(100.0 * float(dist.probs.max()), 2)
-        content = self._decode(int(np.argmax(dist.probs)))
-        utt = Utterance(self.id, round_index, content, confidence)
+        content = divmod(int(np.argmax(dist.probs)), self.spec.action_shape[1])
+        utt = Utterance(self.id, len(prior_rounds) + 1, content, confidence)
         return TeacherResponse(dist=dist, utterance=utt)
 
 
@@ -264,9 +252,8 @@ def run_debate(teachers: list[Teacher], state: StateKey, rounds: int) -> DebateR
     if not teachers:
         raise ValueError("need at least one teacher")
     history: list[list[TeacherResponse]] = []
-    for r in range(1, rounds + 1):
-        row = [t.respond(state, history, r) for t in teachers]
-        history.append(row)
+    for _ in range(rounds):
+        history.append([t.respond(state, history) for t in teachers])
     grid = tuple(tuple(resp.utterance for resp in row) for row in history)
     final = history[-1]
     return DebateResult(
@@ -282,9 +269,15 @@ _START = "[Debate Start]"
 _END = "[Debate End]"
 
 
+#: Experts are lettered A to Z, so a transcript holds at most 26 teachers.
+MAX_LETTERED_EXPERTS = 26
+
+
 def _expert_letter(index: int) -> str:
-    if index >= 26:
-        raise ValueError("expert letters are defined for at most 26 teachers")
+    if index >= MAX_LETTERED_EXPERTS:
+        raise ValueError(
+            f"expert letters are defined for at most {MAX_LETTERED_EXPERTS} teachers"
+        )
     return chr(ord("A") + index)
 
 

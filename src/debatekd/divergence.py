@@ -260,10 +260,14 @@ def _spike_pair(vocab: int, rng: np.random.Generator) -> tuple[np.ndarray, np.nd
     return p / p.sum(), q / q.sum()
 
 
+#: Dirichlet concentrations of a random pair, drawn by index (rng.choice
+#: would draw the same index, but converts the list to an array every call).
+_ALPHAS = (0.1, 1.0, 10.0)
+
+
 def _random_pair(vocab: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    alpha = rng.choice([0.1, 1.0, 10.0])
-    p = rng.dirichlet(np.full(vocab, alpha))
-    q = rng.dirichlet(np.full(vocab, rng.choice([0.1, 1.0, 10.0])))
+    p = rng.dirichlet(np.full(vocab, _ALPHAS[rng.integers(3)]))
+    q = rng.dirichlet(np.full(vocab, _ALPHAS[rng.integers(3)]))
     # Dirichlet(0.1) can underflow entries to exact zero; keep q usable as
     # softmax output by flooring it at a subnormal-safe level.
     q = np.maximum(q, 1e-300)
@@ -337,18 +341,18 @@ def jsd_bound_probe(
     )
 
 
-def revkl_unboundedness_probe(deltas: list[float], vocab_size: int = 2) -> dict[float, float]:
+def revkl_unboundedness_probe(deltas: list[float]) -> dict[float, float]:
     """Witness family for the reverse-KL gradient blow-up.
 
-    For each delta, the teacher puts mass delta on token 0 (spread over the
-    remaining tokens) against a uniform student; the gradient inf-norm grows
+    For each delta, a two-token teacher puts mass delta on token 0 and the
+    rest on token 1 against a uniform student; the gradient inf-norm grows
     like log(1/delta) as delta shrinks. Returns {delta: inf_norm}.
     """
     for delta in deltas:
         if not 0 < delta <= 0.5:
             raise ValueError(f"delta must lie in (0, 0.5], got {delta}")
     d = np.asarray(deltas, dtype=np.float64)[:, None]
-    p = np.where(np.arange(vocab_size) == 0, d, (1 - d) / (vocab_size - 1))
+    p = np.hstack([d, 1 - d])
     validate_probs(p)
     norms = _inf_norms(batch(REVERSE_KL, p, softmax_rows(np.zeros_like(p)))[1])
     return {float(delta): float(n) for delta, n in zip(d[:, 0], norms)}

@@ -41,7 +41,6 @@ from .training import Action, ToolWorld
 
 @dataclass(frozen=True)
 class Fixture:
-    name: str
     world: ToolWorld
     teachers: tuple[MockTeacher, ...]
 
@@ -51,14 +50,10 @@ def _cycled_correct(world_states: int, n_tools: int, n_args: int) -> dict[int, A
     return {s: ((s % joint) // n_args, (s % joint) % n_args) for s in range(world_states)}
 
 
-def complementary_fixture(
-    n_states: int = 10,
-    peak_mass: float = 0.9,
-    flat_peak: float = 0.3,
-    revision_rate: float = 0.5,
-) -> Fixture:
-    """Two teachers with complementary competence halves on a 2x2 world."""
-    n_tools = n_args = 2
+def complementary_fixture(revision_rate: float = 0.5) -> Fixture:
+    """Two teachers with complementary competence halves on a 2x2 world:
+    peaked 0.9 where competent, flattened to a 0.3 top mass elsewhere."""
+    n_states, n_tools, n_args, peak_mass = 10, 2, 2, 0.9
     world = ToolWorld(
         n_states=n_states,
         n_tools=n_tools,
@@ -67,7 +62,7 @@ def complementary_fixture(
         max_steps=4,
     )
     vocab = world.joint_vocab
-    temperature = temperature_for_peak(vocab, peak_mass, flat_peak)
+    temperature = temperature_for_peak(vocab, peak_mass, 0.3)
     half = n_states // 2
     competence = {"expert-a": frozenset(range(half)), "expert-b": frozenset(range(half, n_states))}
 
@@ -90,17 +85,13 @@ def complementary_fixture(
             action_shape=(n_tools, n_args),
         )
         teachers.append(MockTeacher(index, spec))
-    return Fixture("complementary", world, tuple(teachers))
+    return Fixture(world, tuple(teachers))
 
 
-def privileged_gap_fixture(
-    n_states: int = 10,
-    n_tools: int = 4,
-    n_args: int = 4,
-    gap: float = 1e-6,
-    num_teachers: int = 1,
-) -> Fixture:
-    """Teacher(s) peaked 1-gap on the correct action at every state."""
+def privileged_gap_fixture(num_teachers: int = 1) -> Fixture:
+    """Teacher(s) peaked 1 - 1e-6 on the correct action at every state of a
+    4x4 world."""
+    n_states, n_tools, n_args, gap = 10, 4, 4, 1e-6
     world = ToolWorld(
         n_states=n_states,
         n_tools=n_tools,
@@ -127,7 +118,7 @@ def privileged_gap_fixture(
         )
         for k in range(num_teachers)
     )
-    return Fixture("privileged-gap", world, teachers)
+    return Fixture(world, teachers)
 
 
 # Tuned so the weighted per-position mean splices (tool from X, arg from Y)
@@ -145,9 +136,9 @@ _TWO_STRATEGY = {
 }
 
 
-def two_strategy_fixture(n_states: int = 10) -> Fixture:
+def two_strategy_fixture() -> Fixture:
     """Two accepted strategies per state with disagreeing expert teachers."""
-    n_tools = n_args = 2
+    n_states, n_tools, n_args = 10, 2, 2
     strategy_x: Action = (0, 0)
     strategy_y: Action = (1, 1)
     world = ToolWorld(
@@ -182,7 +173,7 @@ def two_strategy_fixture(n_states: int = 10) -> Fixture:
         ),
     ]
     teachers = tuple(MockTeacher(i, spec) for i, spec in enumerate(specs))
-    return Fixture("two-strategy", world, teachers)
+    return Fixture(world, teachers)
 
 
 FIXTURES = {

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .debate import MAX_LETTERED_EXPERTS
 from .divergence import (
     DivergenceKind,
     jsd_bound_probe,
@@ -39,6 +40,9 @@ EXIT_NUMERIC_ABORT = 2
 #: Largest `iterations`: training and the bounds sweep preallocate their
 #: per-iteration records, so a larger count is refused before the run starts.
 _MAX_ITERATIONS = 10**6
+#: Largest `iterations * max_steps` of an opad run, whose record is per step:
+#: the most that `_MAX_ITERATIONS` admits at the default `max_steps` of 4.
+_MAX_TRAIN_STEPS = 4 * _MAX_ITERATIONS
 
 
 class ConfigError(ValueError):
@@ -111,6 +115,12 @@ class RunConfig:
             raise ConfigError(f"fixture must be one of {sorted(FIXTURES)}, got {self.fixture!r}")
         if self.experiment not in ("opad", "debate-demo"):
             return
+        if self.experiment == "debate-demo" and self.num_teachers > MAX_LETTERED_EXPERTS:
+            raise ConfigError(f"num_teachers: debate-demo transcripts letter at most "
+                              f"{MAX_LETTERED_EXPERTS} experts, got {self.num_teachers}")
+        if self.experiment == "opad" and self.iterations * self.max_steps > _MAX_TRAIN_STEPS:
+            raise ConfigError(f"max_steps: iterations * max_steps must be at most "
+                              f"{_MAX_TRAIN_STEPS}, got {self.iterations} * {self.max_steps}")
         world = self.build_fixture().world
         if self.experiment == "opad":
             limit = 1.0 / max(world.n_tools, world.n_args)
@@ -176,7 +186,10 @@ class RunConfig:
     def from_file(path: str | Path, overrides: dict | None = None) -> "RunConfig":
         """Load a JSON config; a run.json artifact is accepted directly."""
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"{path}: not a UTF-8 JSON file: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: expected a JSON object, got {type(raw).__name__}")
         if "config" in raw and isinstance(raw["config"], dict):
@@ -186,17 +199,9 @@ class RunConfig:
         return RunConfig.from_dict(raw)
 
 
-@dataclass(frozen=True)
-class EmaSeries:
-    """Raw series with its exponential moving average: s_0 = y_0 and
+def ema(y, alpha: float = 0.15) -> np.ndarray:
+    """Exponential moving average of y: s_0 = y_0 and
     s_t = alpha*y_t + (1-alpha)*s_{t-1} exactly."""
-
-    raw: np.ndarray
-    smoothed: np.ndarray
-    alpha: float
-
-
-def ema(y, alpha: float = 0.15) -> EmaSeries:
     y = np.asarray(y, dtype=np.float64)
     if y.size == 0:
         raise ValueError("cannot smooth an empty series")
@@ -206,7 +211,7 @@ def ema(y, alpha: float = 0.15) -> EmaSeries:
     s[0] = y[0]
     for t in range(1, y.size):
         s[t] = alpha * y[t] + (1 - alpha) * s[t - 1]
-    return EmaSeries(raw=y, smoothed=s, alpha=alpha)
+    return s
 
 
 def _fmt(value) -> str:
@@ -375,11 +380,10 @@ def _run_opad(config: RunConfig, out: Path) -> dict:
         out / "metrics.csv", ["iter", "step", "token", "kind", "loss", "grad_inf", "acc"], rows
     )
     per_step = result.token_loss.mean(axis=-1)
-    smoothed = ema(result.loss_series, alpha=0.15)
     summary = {
         "final_accuracy": result.final_accuracy,
         "loss": _summary_stats(result.loss_series),
-        "loss_ema_final": float(smoothed.smoothed[-1]),
+        "loss_ema_final": float(ema(result.loss_series, alpha=0.15)[-1]),
         "per_step_loss_max": float(per_step.max()),
         "per_step_loss_median": float(np.median(per_step)),
         "spike_ratio": float(per_step.max() / np.median(per_step)),

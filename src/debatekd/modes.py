@@ -19,7 +19,6 @@ restricted family and of the dynamics, not of the discretization.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -70,13 +69,18 @@ def _binned_gaussian(edges: np.ndarray, mean, width) -> np.ndarray:
 
     The upper tail is computed through the survival function so masses stay
     positive out to ~37 widths instead of collapsing to exact zero where
-    ndtr saturates at 1. Every entry depends only on its own row, so a
-    stacked call is bit-identical to one call per row.
+    ndtr saturates at 1. ndtr(-|z|) is ndtr(z) below the mean and ndtr(-z)
+    above it, so one evaluation serves both tails; only the bin whose upper
+    edge is the first at or above the mean also needs ndtr(z) there. Every
+    entry depends only on its own row, so a stacked call is bit-identical
+    to one call per row.
     """
     z = (edges - mean) / width
-    lower = np.diff(ndtr(z))
-    upper = -np.diff(ndtr(-z))
-    return np.where(z[..., :-1] >= 0, upper, lower)
+    tail = ndtr(-np.abs(z))
+    lower = np.diff(tail)
+    cross = (z[..., :-1] < 0) & (z[..., 1:] >= 0)
+    lower[cross] = ndtr(z[..., 1:][cross]) - tail[..., :-1][cross]
+    return np.where(z[..., :-1] >= 0, -np.diff(tail), lower)
 
 
 @dataclass(frozen=True)
@@ -108,15 +112,13 @@ class BinnedMixture:
         object.__setattr__(self, "centers", centers)
 
     @staticmethod
-    def two_mode(
-        alpha: float = 0.6, separation: float = 8.0, sigma: float = 1.0, bins: int = 256
-    ) -> "BinnedMixture":
-        """Canonical two-component mixture; the dominant mode sits first."""
-        half = separation * sigma / 2.0
+    def two_mode(alpha: float = 0.6, separation: float = 8.0) -> "BinnedMixture":
+        """Canonical two-component mixture of unit-sigma components, the
+        dominant mode first, on 256 bins reaching 10 sigma past each center."""
+        half = separation / 2.0
         centers = np.array([-half, half])
-        margin = 10.0 * sigma
-        grid = Grid(lo=float(centers.min() - margin), hi=float(centers.max() + margin), bins=bins)
-        return BinnedMixture(np.array([alpha, 1 - alpha]), centers, sigma, grid)
+        grid = Grid(lo=float(centers.min() - 10.0), hi=float(centers.max() + 10.0))
+        return BinnedMixture(np.array([alpha, 1 - alpha]), centers, 1.0, grid)
 
     @property
     def num_modes(self) -> int:
@@ -189,18 +191,6 @@ class FitResult:
     @property
     def terminal_cost(self) -> float:
         return float(self.cost_series[-1])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "terminal_cost": self.terminal_cost,
-                "mode_masses": self.mode_masses.tolist(),
-                "mean": self.student.mean,
-                "log_width": self.student.log_width,
-            },
-            indent=2,
-        )
 
 
 def mode_masses(q: Distribution, teacher: BinnedMixture) -> np.ndarray:
@@ -336,23 +326,16 @@ class UnconstrainedFitResult:
     cost_series: np.ndarray
     mode_masses: np.ndarray
 
-    @property
-    def terminal_cost(self) -> float:
-        return float(self.cost_series[-1])
-
 
 def fit_unconstrained(
-    kind: DivergenceKind,
-    teacher: BinnedMixture,
-    steps: int = 8000,
-    lr: float = 2.0,
+    kind: DivergenceKind, teacher: BinnedMixture, steps: int = 8000
 ) -> UnconstrainedFitResult:
     """Control arm: tabular softmax student with exact closed-form gradients.
 
     With one logit per bin the student family contains the teacher, so the
     global minimizer of every divergence is the teacher itself; in
     particular the exact-gradient reverse-KL fit recovers mode masses equal
-    to the mixture weights rather than concentrating.
+    to the mixture weights rather than concentrating. The step size is 2.
     """
     p = floor_and_renormalize(teacher.distribution(), _TEACHER_FLOOR)
     P = p.probs[None]
@@ -362,7 +345,7 @@ def fit_unconstrained(
         validate_logits(z)
         values, g = batch(kind, P, softmax_rows(z[None]))
         costs.append(float(values[0]))
-        z = z - lr * g[0]
+        z = z - 2.0 * g[0]
         z -= z.max()  # shift invariance; keeps the spread bounded
     q = softmax(LogitVector(z))
     costs.append(divergence_value(kind, p, q))
@@ -374,22 +357,14 @@ def fit_unconstrained(
     )
 
 
-def coverage_ordering(
-    teacher: BinnedMixture,
-    init: RestrictedStudent | None = None,
-    steps: int = 600,
-    lr: float = 0.2,
-) -> dict[str, FitResult]:
-    """Fit the same teacher/init under all three divergences.
+def coverage_ordering(teacher: BinnedMixture, steps: int = 600) -> dict[str, FitResult]:
+    """Fit the teacher from its neutral student under all three divergences
+    at learning rate 0.2.
 
     Returns results keyed 'rev', 'jsd:0.5', 'fwd'; the secondary-mode mass
     is strictly ordered rev < jsd < fwd on separated two-mode teachers.
     """
     from .divergence import FORWARD_KL, REVERSE_KL, jsd_kind
 
-    if init is None:
-        init = RestrictedStudent.neutral(teacher)
-    out = {}
-    for kind in (REVERSE_KL, jsd_kind(0.5), FORWARD_KL):
-        out[str(kind)] = fit(kind, teacher, init=init, steps=steps, lr=lr)
-    return out
+    return {str(kind): fit(kind, teacher, steps=steps, lr=0.2)
+            for kind in (REVERSE_KL, jsd_kind(0.5), FORWARD_KL)}

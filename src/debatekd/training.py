@@ -95,13 +95,6 @@ class ToolWorld:
         return self.n_tools * self.n_args
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """On-policy rollout: per-step (state, sampled action)."""
-
-    steps: tuple[tuple[int, Action], ...]
-
-
 @dataclass
 class StudentPolicy:
     """Tabular policy: per-state tool logits and per-tool arg logits.
@@ -122,12 +115,13 @@ class StudentPolicy:
         )
 
     @staticmethod
-    def oracle(world: ToolWorld, margin: float = 20.0) -> "StudentPolicy":
+    def oracle(world: ToolWorld) -> "StudentPolicy":
+        """Logit 20 on every state's correct tool and, under it, correct arg."""
         policy = StudentPolicy.uniform(world)
         for s in range(world.n_states):
             tool, arg = world.correct_action[s]
-            policy.tool_logits[s, tool] = margin
-            policy.arg_logits[s, tool, arg] = margin
+            policy.tool_logits[s, tool] = 20.0
+            policy.arg_logits[s, tool, arg] = 20.0
         return policy
 
     def tool_row(self, state: int) -> LogitVector:
@@ -157,15 +151,16 @@ class StudentPolicy:
 
 def rollout(
     world: ToolWorld, policy: StudentPolicy, x: int, rng: np.random.Generator
-) -> Trajectory:
-    """Sample exactly max_steps actions on-policy from the start state x."""
+) -> tuple[tuple[int, Action], ...]:
+    """Sample exactly max_steps actions on-policy from the start state x;
+    returns the (state, sampled action) of every step."""
     steps = []
     state = x
     for _ in range(world.max_steps):
         action = policy.sample_action(state, rng)
         steps.append((state, action))
         state = world.next_state(state, action)
-    return Trajectory(steps=tuple(steps))
+    return tuple(steps)
 
 
 def force_decode_targets(
@@ -288,10 +283,12 @@ def task_accuracy(policy: StudentPolicy, world: ToolWorld) -> float:
     return hits / world.n_states
 
 
-def _first_unusable_step(policy: StudentPolicy, traj: Trajectory) -> int | None:
+def _first_unusable_step(
+    policy: StudentPolicy, traj: tuple[tuple[int, Action], ...]
+) -> int | None:
     """First step of traj whose tool or arg row the next iteration could not
     softmax (simplex.validate_logits rejects it)."""
-    for m, (s, (tool, _)) in enumerate(traj.steps):
+    for m, (s, (tool, _)) in enumerate(traj):
         try:
             with np.errstate(over="ignore"):
                 validate_logits(policy.tool_logits[s])
@@ -330,7 +327,7 @@ def train(world: ToolWorld, teachers: list[Teacher], config: TrainConfig) -> Tra
         arg_grads: dict[tuple[int, int], np.ndarray] = {}
         total_loss = 0.0
 
-        for m, (state, action) in enumerate(traj.steps):
+        for m, (state, action) in enumerate(traj):
             result = run_debate(teachers, state, config.rounds)
             w = confidence_to_weights(ConfidenceScores(result.confidences, config.tau_conf))
 

@@ -273,7 +273,7 @@ def test_c12_reductions():
         traj = rollout(world, policy, x, rng)
         total = 0.0
         tool_grads, arg_grads = {}, {}
-        for state, action in traj.steps:
+        for state, action in traj:
             joint = teacher.base_dist(state).probs.reshape(world.n_tools, world.n_args)
             tool_t = floor_and_renormalize(Distribution(joint.sum(axis=1)), config.eps)
             arg_row = joint[action[0]]

@@ -106,33 +106,27 @@ class TestMockTeacherSemantics:
 
     def test_round_one_is_base_table(self):
         teacher = self.make_teacher()
-        resp = teacher.respond(0, [], 1)
+        resp = teacher.respond(0, [])
         np.testing.assert_array_equal(resp.dist.probs, teacher.base_dist(0).probs)
         assert resp.utterance.content == (0, 0)
         assert resp.utterance.confidence == 90.0
 
     def test_zero_revision_rate_is_bit_identical_to_base(self):
         teacher = self.make_teacher(rate=0.0)
-        r1 = teacher.respond(0, [], 1)
-        r2 = teacher.respond(0, [[r1, r1]], 2)
+        r1 = teacher.respond(0, [])
+        r2 = teacher.respond(0, [[r1, r1]])
         assert r2.dist is teacher.base_dist(0)
 
     def test_unknown_state_rejected(self):
         with pytest.raises(ValueError, match="state"):
-            self.make_teacher().respond(99, [], 1)
-
-    def test_round_one_must_not_see_history(self):
-        teacher = self.make_teacher()
-        r1 = teacher.respond(0, [], 1)
-        with pytest.raises(ValueError):
-            teacher.respond(0, [[r1]], 1)
+            self.make_teacher().respond(99, [])
 
     def test_revision_matches_brute_force_pool(self):
         fixture = complementary_fixture()
         a, b = fixture.teachers
         state = 7  # a incompetent here, b competent
-        ra, rb = a.respond(state, [], 1), b.respond(state, [], 1)
-        r2 = a.respond(state, [[ra, rb]], 2)
+        ra, rb = a.respond(state, []), b.respond(state, [])
+        r2 = a.respond(state, [[ra, rb]])
         expected = brute_force_pool(
             a.base_dist(state).probs, [ra.dist.probs, rb.dist.probs], 0.5
         )
@@ -146,14 +140,14 @@ class TestMockTeacherSemantics:
         state = 7
         correct = fixture.world.flat_action(fixture.world.correct_action[state])
         assert int(np.argmax(a.base_dist(state).probs)) != correct
-        ra, rb = a.respond(state, [], 1), b.respond(state, [], 1)
-        r2 = a.respond(state, [[ra, rb]], 2)
+        ra, rb = a.respond(state, []), b.respond(state, [])
+        r2 = a.respond(state, [[ra, rb]])
         assert int(np.argmax(r2.dist.probs)) == correct
 
     def test_confidence_override_flag(self):
         fixture = two_strategy_fixture()
         for teacher, expected in zip(fixture.teachers, (55.0, 89.33)):
-            resp = teacher.respond(0, [], 1)
+            resp = teacher.respond(0, [])
             assert resp.utterance.confidence == expected
 
     def test_spec_validates_competence_peaks(self):
@@ -163,6 +157,7 @@ class TestMockTeacherSemantics:
                 base_table={0: peaked_row(4, 0, 0.6)},
                 competence_set=frozenset({0}),
                 peak_mass=0.9,
+                action_shape=(2, 2),
             )
         with pytest.raises(ValueError, match="incompetent"):
             MockTeacherSpec(
@@ -170,6 +165,7 @@ class TestMockTeacherSemantics:
                 base_table={0: peaked_row(4, 0, 0.9)},
                 competence_set=frozenset(),
                 peak_mass=0.9,
+                action_shape=(2, 2),
             )
 
 

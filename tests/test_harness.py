@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 from debatekd import harness
 from debatekd.cli import main
 from debatekd.divergence import REVERSE_KL, jsd_kind
+from debatekd.fixtures import FIXTURES
 from debatekd.harness import (
     EXIT_CONFIG_ERROR,
     EXIT_NUMERIC_ABORT,
@@ -26,23 +29,23 @@ class TestEma:
     def test_alpha_one_is_identity(self):
         y = np.array([3.0, 1.0, 4.0, 1.5])
         out = ema(y, alpha=1.0)
-        np.testing.assert_array_equal(out.smoothed, y)
+        np.testing.assert_array_equal(out, y)
 
     def test_impulse_series_unrolls_recurrence(self):
         out = ema(np.array([1.0, 0.0, 0.0, 0.0]), alpha=0.15)
-        np.testing.assert_allclose(out.smoothed, [1.0, 0.85, 0.7225, 0.614125], rtol=1e-12)
+        np.testing.assert_allclose(out, [1.0, 0.85, 0.7225, 0.614125], rtol=1e-12)
 
     def test_constant_series_is_fixed_point(self):
         out = ema(np.full(10, 2.5), alpha=0.15)
-        np.testing.assert_array_equal(out.smoothed, np.full(10, 2.5))
+        np.testing.assert_array_equal(out, np.full(10, 2.5))
 
     def test_recurrence_is_exact(self):
         rng = np.random.default_rng(0)
         y = rng.normal(size=50)
         out = ema(y, alpha=0.15)
-        assert out.smoothed[0] == y[0]
+        assert out[0] == y[0]
         for t in range(1, 50):
-            assert out.smoothed[t] == 0.15 * y[t] + 0.85 * out.smoothed[t - 1]
+            assert out[t] == 0.15 * y[t] + 0.85 * out[t - 1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -80,6 +83,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="eps"):
             RunConfig.from_dict({"experiment": "opad", "kind": "rev", "eps": 0})
         RunConfig.from_dict({"experiment": "bounds", "kind": "rev", "eps": 0})
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_fixture_builders_read_only_config_fields(self, name):
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert set(inspect.signature(FIXTURES[name]).parameters) <= fields
 
     def test_file_loading_with_flag_overrides(self, tmp_path):
         path = tmp_path / "config.json"
@@ -381,15 +389,20 @@ class TestCli:
             ("debate-demo", {"experiment": "debate-demo", "num_teachers": 3}, "num_teachers"),
             ("opad", {"experiment": "opad", "conf_temperature": 1e-300}, "conf_temperature"),
             ("opad", {"experiment": "opad", "iterations": 10**15}, "iterations"),
+            ("opad", {"experiment": "opad", "max_steps": 10**12}, "max_steps"),
+            ("debate-demo", {"experiment": "debate-demo", "fixture": "privileged-gap",
+                             "num_teachers": 27}, "num_teachers"),
+            ("opad", "not json", None),  # a str is written as it is
         ],
         ids=["not-an-object", "str-seed", "float-iterations", "float-seed",
              "eps-above-inverse-vocab", "out-is-a-file", "opad-teacher-count",
              "debate-demo-teacher-count", "underflowing-conf-temperature",
-             "unallocatable-iterations"],
+             "unallocatable-iterations", "unallocatable-max-steps",
+             "more-experts-than-letters", "not-json"],
     )
     def test_bad_input_is_named_config_error(self, tmp_path, capsys, experiment, config, field):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
         out = tmp_path / "out"
         if field == "out_dir":
             out.write_text("")

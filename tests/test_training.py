@@ -113,18 +113,18 @@ class TestRollout:
         world = simple_world()
         policy = StudentPolicy.oracle(world)
         traj = rollout(world, policy, 0, RngSeed(0).stream("rollout"))
-        assert len(traj.steps) == world.max_steps
-        assert all(action in world.accepted(s) for s, action in traj.steps)
+        assert len(traj) == world.max_steps
+        assert all(action in world.accepted(s) for s, action in traj)
 
     def test_single_step_world(self):
         world = simple_world(max_steps=1)
         traj = rollout(world, StudentPolicy.uniform(world), 0, RngSeed(0).stream("r"))
-        assert len(traj.steps) == 1
+        assert len(traj) == 1
 
     def test_states_follow_transition(self):
         world = simple_world(n_states=5)
         traj = rollout(world, StudentPolicy.uniform(world), 3, RngSeed(1).stream("r"))
-        states = [s for s, _ in traj.steps]
+        states = [s for s, _ in traj]
         assert states == [3, 4, 0, 1]
 
     def test_uniform_policy_ok_rate_matches_product_of_marginals(self):
@@ -135,7 +135,7 @@ class TestRollout:
         n = 10_000
         for _ in range(n):
             traj = rollout(world, policy, int(rng.integers(4)), rng)
-            oks += sum(action in world.accepted(s) for s, action in traj.steps)
+            oks += sum(action in world.accepted(s) for s, action in traj)
         assert abs(oks / n - 1 / 16) <= 0.02
 
     @pytest.mark.parametrize("seed", range(6))
@@ -148,7 +148,7 @@ class TestRollout:
         )
         ours, ref = RngSeed(seed).stream("r"), RngSeed(seed).stream("r")
         for x in range(world.n_states):
-            assert rollout(world, policy, x, ours).steps == reference_rollout(world, policy, x, ref)
+            assert rollout(world, policy, x, ours) == reference_rollout(world, policy, x, ref)
         assert ours.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("row", [[0.0, np.nan], [0.0, np.inf], [0.0, 701.0]])
@@ -300,7 +300,7 @@ class TestTrainLoop:
             traj = rollout(world, policy, x, rng)
             total = 0.0
             tool_grads, arg_grads = {}, {}
-            for state, action in traj.steps:
+            for state, action in traj:
                 joint = teacher.base_dist(state).probs.reshape(world.n_tools, world.n_args)
                 tool_t = floor_and_renormalize(
                     Distribution(joint.sum(axis=1)), cfg.eps
