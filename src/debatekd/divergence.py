@@ -128,9 +128,10 @@ def batch(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Divergence of teacher rows P from student rows Q, one value per row.
 
-    P and Q are (N, V) probability arrays; with grad, Q is a softmax output
-    and so strictly positive. Returns the N values and, with grad, the
-    (N, V) gradients in the student's logits (else None). Inputs are not
+    P and Q are (N, V) probability arrays. Returns the N values and, with
+    grad, the (N, V) gradients in the student's logits (else None). With
+    grad, a student zero where the teacher is positive (a binned student
+    whose tail underflowed) adds nothing, by 0 log 0 := 0. Inputs are not
     validated beyond a matching vocabulary: the wrappers check them at the
     API edge.
 
@@ -151,12 +152,12 @@ def batch(
             return _kl_rows(Q, P), None
         # With the gradient, the value is the gradient's own E_q[log q/p].
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.log(Q / P)
+            t = np.log(Q / P if Q.all() else np.where(Q > 0, Q / P, 1.0))
             total = _row_dot(Q, t)
             g = Q * (t - total[:, None])
         values = np.maximum(total, 0.0)
         if not P.all():
-            # q is strictly positive, so any exact teacher zero blows up:
+            # An exact teacher zero under a positive student blows up:
             # +inf on the missing tokens, -inf everywhere else.
             zero = (P == 0).any(axis=-1)
             values[zero] = math.inf
@@ -172,7 +173,7 @@ def batch(
         return values, None
     r = P * Q / m
     grad_p_term = -(1 - beta) * (r - Q * r.sum(axis=-1, keepdims=True))
-    ell = np.log(Q / m)
+    ell = np.log(Q / m if Q.all() else np.where(Q > 0, Q / m, 1.0))
     x = Q * (ell - _row_dot(Q, ell)[:, None])
     s = Q * Q / m
     y = (1 - beta) * (s - Q * s.sum(axis=-1, keepdims=True))

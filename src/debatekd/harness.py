@@ -43,6 +43,9 @@ _MAX_ITERATIONS = 10**6
 #: Largest `iterations * max_steps` of an opad run, whose record is per step:
 #: the most that `_MAX_ITERATIONS` admits at the default `max_steps` of 4.
 _MAX_TRAIN_STEPS = 4 * _MAX_ITERATIONS
+#: Largest `iterations * max_steps * num_teachers` of an opad run, which
+#: records every teacher's weight per step: `_MAX_TRAIN_STEPS` at two teachers.
+_MAX_TEACHER_STEPS = 2 * _MAX_TRAIN_STEPS
 
 
 class ConfigError(ValueError):
@@ -118,9 +121,13 @@ class RunConfig:
         if self.experiment == "debate-demo" and self.num_teachers > MAX_LETTERED_EXPERTS:
             raise ConfigError(f"num_teachers: debate-demo transcripts letter at most "
                               f"{MAX_LETTERED_EXPERTS} experts, got {self.num_teachers}")
-        if self.experiment == "opad" and self.iterations * self.max_steps > _MAX_TRAIN_STEPS:
+        steps = self.iterations * self.max_steps
+        if self.experiment == "opad" and steps > _MAX_TRAIN_STEPS:
             raise ConfigError(f"max_steps: iterations * max_steps must be at most "
                               f"{_MAX_TRAIN_STEPS}, got {self.iterations} * {self.max_steps}")
+        if self.experiment == "opad" and steps * self.num_teachers > _MAX_TEACHER_STEPS:
+            raise ConfigError(f"num_teachers: iterations * max_steps * num_teachers must be at "
+                              f"most {_MAX_TEACHER_STEPS}, got {steps} * {self.num_teachers}")
         world = self.build_fixture().world
         if self.experiment == "opad":
             limit = 1.0 / max(world.n_tools, world.n_args)

@@ -2,14 +2,14 @@
 
 A teacher mixture with well-separated components is discretized onto a
 fixed grid; a capacity-restricted student (one binned Gaussian with two
-free parameters, mean and log-width) descends each divergence via central
-finite differences, with one batched divergence call per step on the
-current student and its four-point stencil (bit-identical to evaluating
-the five students one at a time). Under reverse KL the restricted student
-concentrates on the dominant component with terminal cost
--log(alpha_dominant); under forward KL it spreads over every component;
-JSD lands in between, giving the strict secondary-mass ordering
-rev < jsd < fwd.
+free parameters, mean and log-width) descends each divergence on its exact
+gradient: its bin masses are m_i = Phi(z_{i+1}) - Phi(z_i) and it is
+q = softmax(log m), so the kernel's logit gradient g chains to a parameter
+as sum_i g_i (dm_i/dtheta) / m_i, a bin whose mass underflowed to 0 adding
+nothing. Under reverse KL the restricted student concentrates on the
+dominant component with terminal cost -log(alpha_dominant); under forward
+KL it spreads over every component; JSD lands in between, giving the strict
+secondary-mass ordering rev < jsd < fwd.
 
 An unconstrained tabular control arm (exact closed-form logit gradients,
 one logit per bin) is also provided: with full capacity every divergence
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .divergence import DivergenceKind, batch, divergence_value
+from .divergence import FORWARD_KL, REVERSE_KL, DivergenceKind, batch, divergence_value, jsd_kind
 from .simplex import (
     Distribution,
     LogitVector,
@@ -182,7 +182,6 @@ class ModeFitError(RuntimeError):
 
 @dataclass
 class FitResult:
-    kind: str
     student: RestrictedStudent
     cost_series: np.ndarray
     mode_masses: np.ndarray
@@ -207,55 +206,85 @@ def mode_masses(q: Distribution, teacher: BinnedMixture) -> np.ndarray:
 #: the shallow mode-covering basin before the mean can travel to a mode.
 _PRECONDITIONER = np.array([1.0, 0.1])
 
-
-#: Rows of one descent step's block, in units of h on (mean, log_width):
-#: the current student, then the +/- pair of each coordinate in the order
-#: the scalar central difference evaluated them.
-_STENCIL = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _width(log_width: float) -> float:
-    """RestrictedStudent.width, but inf where math.exp overflows, so that
-    the row has no mass and only raises if the descent reads it. (np.exp
-    differs from math.exp in the last bit on some inputs.)"""
-    try:
-        return math.exp(log_width)
-    except OverflowError:
-        return math.inf
+def _costs_and_gradients(
+    kinds: list[DivergenceKind], P: np.ndarray, edges: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cost under kinds[r] of the student x[r] = (mean, log_width) against
+    the teacher row P, and its exact gradient in x[r], for every row r.
 
-
-def _costs(
-    kind: DivergenceKind, P: np.ndarray, grid: Grid, edges: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """Divergence of the teacher rows P from the student at each
-    (mean, log_width) row of `rows`, in one batched call.
-
-    Rows are read as the scalar descent read them: the first row, then each
-    stencil pair while every cost before it is finite. The first row read
-    that is not a valid student raises the error RestrictedStudent raises
-    for it; rows past a non-finite cost are not checked.
+    One _binned_gaussian call and one validate_probs cover the block, then
+    one kernel call per row; rows never mix, so each row is bit-identical
+    to a block of its own. An invalid student raises RestrictedStudent's
+    ValueError.
     """
-    widths = np.array([_width(log_width) for log_width in rows[:, 1]])
-    mass = _binned_gaussian(edges, rows[:, :1], widths[:, None])
-    totals = mass.sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # massless rows are checked below
-        Q = mass / totals[:, None]
-    values = batch(kind, P[: len(rows)], Q, grad=False)[0]
-    finite = np.isfinite(values)
-    read = 1
-    while read < len(rows) and finite[:read].all():
-        read += 2
-    try:
-        if not (np.isfinite(rows[:read]).all() and (totals[:read] > 0).all()):
-            raise ValueError("student rows without finite parameters or mass")
-        validate_probs(Q[:read])
-    except ValueError:
-        # Re-derive the rows read one at a time: the first bad one raises
-        # exactly what the scalar descent raised for it.
-        for mean, log_width in rows[:read]:
-            RestrictedStudent(float(mean), float(log_width)).distribution(grid)
-        raise
-    return values
+    if not np.isfinite(x).all():
+        raise ValueError("student parameters must be finite")
+    mean = x[:, :1]
+    with np.errstate(over="ignore"):
+        width = np.exp(x[:, 1:])
+    mass = _binned_gaussian(edges, mean, width)
+    totals = mass.sum(axis=-1, keepdims=True)
+    if not (totals > 0).all():
+        raise ValueError("student has no mass on the grid")
+    Q = mass / totals
+    validate_probs(Q)
+    # dm_i / d(mean, log_width): differences of phi / width and z * phi at the bin edges
+    z = (edges - mean) / width
+    phi = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+    d = np.stack((phi / width, z * phi), axis=1)
+    dmass = d[..., :-1] - d[..., 1:]
+    dlog = np.divide(dmass, mass[:, None], out=np.zeros_like(dmass), where=mass[:, None] > 0)
+    values, grads = np.empty(len(x)), np.empty((len(x), 2))
+    for r, kind in enumerate(kinds):
+        value, g = batch(kind, P, Q[r : r + 1])
+        values[r], grads[r] = value[0], dlog[r] @ g[0]
+    return values, grads
+
+
+def _descend(
+    kinds: tuple[DivergenceKind, ...],
+    teacher: BinnedMixture,
+    init: RestrictedStudent,
+    steps: int,
+    lr: float,
+) -> list[FitResult]:
+    """One fit per kind from `init`, run as the rows of one descent whose
+    steps evaluate the unfinished rows as one block. A row whose cost or
+    gradient is not finite halves its learning rate and restarts alone, up
+    to 5 times; then ModeFitError carries the costs of its last attempt.
+    """
+    P = floor_and_renormalize(teacher.distribution(), _TEACHER_FLOOR).probs[None]
+    start = np.array([init.mean, init.log_width])
+    params = np.tile(start, (len(kinds), 1))
+    attempts = [0] * len(kinds)
+    costs: list[list[float]] = [[] for _ in kinds]
+    traces: list[list[np.ndarray]] = [[] for _ in kinds]
+    results: dict[int, FitResult] = {}
+    while len(results) < len(kinds):
+        live = [r for r in range(len(kinds)) if r not in results]
+        x = params[live]
+        values, grads = _costs_and_gradients([kinds[r] for r in live], P, teacher.grid.edges, x)
+        for r, row, cost, grad in zip(live, x, values.tolist(), grads):
+            if math.isfinite(cost):
+                costs[r].append(cost)
+                traces[r].append(row)
+                if len(costs[r]) > steps:
+                    student = RestrictedStudent(*row.tolist())
+                    q = student.distribution(teacher.grid)
+                    results[r] = FitResult(student, np.asarray(costs[r]),
+                                           mode_masses(q, teacher), np.asarray(traces[r]))
+                    continue
+                if np.isfinite(grad).all():
+                    params[r] = row - lr / 2 ** attempts[r] * _PRECONDITIONER * grad
+                    continue
+            attempts[r] += 1
+            if attempts[r] == 6:
+                raise ModeFitError(costs[r] or [cost])
+            params[r], costs[r], traces[r] = start, [], []
+    return [results[r] for r in range(len(kinds))]
 
 
 def fit(
@@ -264,64 +293,23 @@ def fit(
     init: RestrictedStudent | None = None,
     steps: int = 600,
     lr: float = 0.5,
-    h: float = 1e-6,
 ) -> FitResult:
-    """Finite-difference gradient descent on the two student parameters.
-
-    Each step makes one batched divergence call on a (5, bins) block: the
-    current student, whose cost enters cost_series, and its central
-    difference stencil (+/-h in mean, then in log-width), which gives the
-    next iterate; the final step evaluates the student alone. Costs,
-    iterates, mode masses and errors are bit-identical to evaluating the
-    five students one at a time.
+    """Exact-gradient descent on the two student parameters, as a one-row
+    descent: each step evaluates the current student once, its cost enters
+    cost_series and its gradient (see the module docstring), scaled by the
+    preconditioner, gives the next iterate.
 
     The teacher distribution is floored at 1e-12 so reverse KL stays finite
     no matter where the student wanders. A non-finite cost anywhere in the
     descent halves the learning rate and restarts, up to 5 times.
     """
-    p = floor_and_renormalize(teacher.distribution(), _TEACHER_FLOOR)
     if init is None:
         init = RestrictedStudent.neutral(teacher)
-    P = np.tile(p.probs, (len(_STENCIL), 1))
-    edges = teacher.grid.edges
-    stencil = h * _STENCIL
-
-    trace: list[float] = []
-    for attempt in range(6):
-        eff_lr = lr / (2**attempt)
-        params = np.array([init.mean, init.log_width])
-        costs: list[float] = []
-        param_trace = []
-        while True:
-            last = len(costs) == steps
-            values = _costs(kind, P, teacher.grid, edges, params + stencil[: 1 if last else None])
-            c = float(values[0])
-            if not math.isfinite(c):
-                costs = costs or [c]  # a non-finite initial cost is kept in the trace
-                break
-            costs.append(c)
-            param_trace.append(params)
-            if last:
-                student = RestrictedStudent(mean=float(params[0]), log_width=float(params[1]))
-                q = student.distribution(teacher.grid)
-                return FitResult(
-                    kind=str(kind),
-                    student=student,
-                    cost_series=np.asarray(costs),
-                    mode_masses=mode_masses(q, teacher),
-                    param_trace=np.asarray(param_trace),
-                )
-            if not np.isfinite(values[1:]).all():
-                break
-            grad = (values[1::2] - values[2::2]) / (2 * h)
-            params = params - eff_lr * _PRECONDITIONER * grad
-        trace = costs
-    raise ModeFitError(trace)
+    return _descend((kind,), teacher, init, steps, lr)[0]
 
 
 @dataclass
 class UnconstrainedFitResult:
-    kind: str
     q: Distribution
     cost_series: np.ndarray
     mode_masses: np.ndarray
@@ -350,7 +338,6 @@ def fit_unconstrained(
     q = softmax(LogitVector(z))
     costs.append(divergence_value(kind, p, q))
     return UnconstrainedFitResult(
-        kind=str(kind),
         q=q,
         cost_series=np.asarray(costs),
         mode_masses=mode_masses(q, teacher),
@@ -359,12 +346,12 @@ def fit_unconstrained(
 
 def coverage_ordering(teacher: BinnedMixture, steps: int = 600) -> dict[str, FitResult]:
     """Fit the teacher from its neutral student under all three divergences
-    at learning rate 0.2.
+    at learning rate 0.2, as three rows of one descent.
 
-    Returns results keyed 'rev', 'jsd:0.5', 'fwd'; the secondary-mode mass
-    is strictly ordered rev < jsd < fwd on separated two-mode teachers.
+    Returns results keyed 'rev', 'jsd:0.5', 'fwd', each bit-identical to
+    `fit(kind, teacher, steps=steps, lr=0.2)`; the secondary-mode mass is
+    strictly ordered rev < jsd < fwd on separated two-mode teachers.
     """
-    from .divergence import FORWARD_KL, REVERSE_KL, jsd_kind
-
-    return {str(kind): fit(kind, teacher, steps=steps, lr=0.2)
-            for kind in (REVERSE_KL, jsd_kind(0.5), FORWARD_KL)}
+    kinds = (REVERSE_KL, jsd_kind(0.5), FORWARD_KL)
+    fits = _descend(kinds, teacher, RestrictedStudent.neutral(teacher), steps, 0.2)
+    return {str(kind): res for kind, res in zip(kinds, fits)}

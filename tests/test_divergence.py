@@ -223,6 +223,18 @@ class TestBatchKernel:
                 assert forward[i] == reference_kl(p[i], q[i])
                 assert reverse[i] == reference_kl(q[i], p[i])
 
+    def test_student_zeros_add_nothing_with_the_gradient(self):
+        # a binned student whose tail underflowed: 0 log 0 := 0 in value and gradient
+        p = np.array([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]])
+        q = np.array([[0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        for kind in (REVERSE_KL, jsd_kind(0.5), FORWARD_KL):
+            values, g = batch(kind, p, q)
+            want = [reference_kl(q[i], p[i]) if kind == REVERSE_KL else
+                    batch(kind, p[i : i + 1], q[i : i + 1], grad=False)[0][0] for i in range(2)]
+            np.testing.assert_allclose(values, want, rtol=1e-15)
+            if kind != FORWARD_KL:  # forward KL is infinite here, its gradient q - p
+                assert np.isfinite(g).all() and (g[q == 0] == 0).all()
+
     def test_vocab_mismatch_rejected(self):
         with pytest.raises(ValueError, match="vocab mismatch: 2 vs 3"):
             batch(FORWARD_KL, np.full((1, 2), 0.5), np.full((1, 3), 1 / 3))

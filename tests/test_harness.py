@@ -271,9 +271,10 @@ class TestRunArtifacts:
 
 
 #: sha256 of every artifact but run.json (which echoes paths and versions),
-#: seed 0, taken before the divergence kernel was batched. The bounds and
-#: opad-complementary metrics.csv digests are the seed-0 `sweep` and `train`
-#: figures of bench/README.md.
+#: seed 0, taken before the divergence kernel was batched; the modes entry
+#: was re-taken when the mode fits moved from central differences to the
+#: exact gradient. The bounds and opad-complementary metrics.csv digests are
+#: the seed-0 `sweep` and `train` figures of bench/README.md.
 DIGEST_NUMPY = "2.4.6"
 ARTIFACT_DIGESTS = {
     "bounds": (
@@ -315,8 +316,8 @@ ARTIFACT_DIGESTS = {
     "modes": (
         {"experiment": "modes"},
         {
-            "metrics.csv": "aa7a2742769b075ef3d4f2e9495e006a3bae27284d1f689c833eec84c0ff5724",
-            "modes_report.json": "16bc7f126af4857fd4363c60560db65494ce4469ea6d9a5401d6b13fe183cea0",
+            "metrics.csv": "67b98be13d73dbc030254df934a73aa6769ae09df61590294c42507d17b2ee71",
+            "modes_report.json": "8379dca2712efe5aa26cc2b8a8e5c076fd0abc40baa2d2f57221ad49b29051ef",
         },
     ),
     "debate-demo": (
@@ -393,12 +394,14 @@ class TestCli:
             ("debate-demo", {"experiment": "debate-demo", "fixture": "privileged-gap",
                              "num_teachers": 27}, "num_teachers"),
             ("opad", "not json", None),  # a str is written as it is
+            ("opad", {"experiment": "opad", "fixture": "privileged-gap", "num_teachers": 100000,
+                      "iterations": 1000000}, "num_teachers"),
         ],
         ids=["not-an-object", "str-seed", "float-iterations", "float-seed",
              "eps-above-inverse-vocab", "out-is-a-file", "opad-teacher-count",
              "debate-demo-teacher-count", "underflowing-conf-temperature",
              "unallocatable-iterations", "unallocatable-max-steps",
-             "more-experts-than-letters", "not-json"],
+             "more-experts-than-letters", "not-json", "unallocatable-teachers"],
     )
     def test_bad_input_is_named_config_error(self, tmp_path, capsys, experiment, config, field):
         path = tmp_path / "config.json"
