@@ -152,7 +152,7 @@ def batch(
             return _kl_rows(Q, P), None
         # With the gradient, the value is the gradient's own E_q[log q/p].
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.log(Q / P if Q.all() else np.where(Q > 0, Q / P, 1.0))
+            t = np.log(np.where(Q > 0, Q / P, 1.0))
             total = _row_dot(Q, t)
             g = Q * (t - total[:, None])
         values = np.maximum(total, 0.0)
@@ -173,7 +173,7 @@ def batch(
         return values, None
     r = P * Q / m
     grad_p_term = -(1 - beta) * (r - Q * r.sum(axis=-1, keepdims=True))
-    ell = np.log(Q / m if Q.all() else np.where(Q > 0, Q / m, 1.0))
+    ell = np.log(np.where(Q > 0, Q / m, 1.0))
     x = Q * (ell - _row_dot(Q, ell)[:, None])
     s = Q * Q / m
     y = (1 - beta) * (s - Q * s.sum(axis=-1, keepdims=True))

@@ -300,8 +300,9 @@ def fit(
     preconditioner, gives the next iterate.
 
     The teacher distribution is floored at 1e-12 so reverse KL stays finite
-    no matter where the student wanders. A non-finite cost anywhere in the
-    descent halves the learning rate and restarts, up to 5 times.
+    no matter where the student wanders. A non-finite cost or gradient
+    anywhere in the descent halves the learning rate and restarts, up to 5
+    times; then ModeFitError carries the costs of the last attempt.
     """
     if init is None:
         init = RestrictedStudent.neutral(teacher)

@@ -226,14 +226,31 @@ class TestBatchKernel:
     def test_student_zeros_add_nothing_with_the_gradient(self):
         # a binned student whose tail underflowed: 0 log 0 := 0 in value and gradient
         p = np.array([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]])
-        q = np.array([[0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0]])
-        for kind in (REVERSE_KL, jsd_kind(0.5), FORWARD_KL):
+        q = np.array([[0.0, 0.5, 0.5, 0.0], [0.0, 0.3, 0.0, 0.7]])
+
+        def reference(kind, p, q):
+            if kind == REVERSE_KL:
+                return reference_kl(q, p)
+            m = kind.beta * p + (1 - kind.beta) * q
+            return kind.beta * reference_kl(p, m) + (1 - kind.beta) * reference_kl(q, m)
+
+        values, g = batch(FORWARD_KL, p, q)
+        assert np.isinf(values).all() and (g == q - p).all()
+        h = 1e-6
+        for kind in (REVERSE_KL, jsd_kind(0.5), jsd_kind(0.3)):
             values, g = batch(kind, p, q)
-            want = [reference_kl(q[i], p[i]) if kind == REVERSE_KL else
-                    batch(kind, p[i : i + 1], q[i : i + 1], grad=False)[0][0] for i in range(2)]
-            np.testing.assert_allclose(values, want, rtol=1e-15)
-            if kind != FORWARD_KL:  # forward KL is infinite here, its gradient q - p
-                assert np.isfinite(g).all() and (g[q == 0] == 0).all()
+            for i in range(len(p)):
+                assert values[i] == pytest.approx(reference(kind, p[i], q[i]), rel=1e-14)
+                assert (g[i][q[i] == 0] == 0).all()
+                # central difference in the logits of the student-positive tokens
+                pos = q[i] > 0
+                z = np.log(q[i][pos])
+                fd = []
+                for e in h * np.eye(pos.sum()):
+                    up, down = q[i].copy(), q[i].copy()
+                    up[pos], down[pos] = softmax_rows(np.stack((z + e, z - e)))
+                    fd.append((reference(kind, p[i], up) - reference(kind, p[i], down)) / (2 * h))
+                np.testing.assert_allclose(g[i][pos], fd, rtol=1e-6, atol=1e-9)
 
     def test_vocab_mismatch_rejected(self):
         with pytest.raises(ValueError, match="vocab mismatch: 2 vs 3"):
