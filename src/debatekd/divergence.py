@@ -1,17 +1,17 @@
 """Forward KL, reverse KL, and JSD over categorical distributions.
 
-Each divergence is implemented once, in the array-native kernel `batch`:
-given (N, V) teacher rows and student-probability rows it returns the
-per-row values and, on request, the closed-form gradients with respect to
-the student's pre-softmax logits (the teacher is a fixed target: gradients
-flow only through the student). Everything else wraps it: the scalar
-`divergence_value` and `logit_gradient`, which take validated
-`Distribution`/`LogitVector` values; a central-finite-difference oracle
-that evaluates all 2V stencil rows in one call; and two probes that stress
-the boundedness results, the JSD loss/gradient ceilings and the reverse-KL
-blow-up as teacher mass vanishes on student-supported tokens. Row sums and
-row dot products reduce each row as the one-row numpy call would, so a
-stacked call is bit-identical to one call per row.
+Each divergence has one value formula and one gradient formula, both in the
+array-native kernel `batch`: given (N, V) teacher and student rows it
+returns the per-row values and, on request, the gradients in the student's
+logits (the teacher is a fixed target). JSD's gradient in the student q is
+the closed form (1 - beta) log(q/m): the two terms that reach q through the
+mixture m cancel the +(1 - beta) of q log q. Everything else wraps `batch`:
+`divergence_value` and `logit_gradient` at the validated
+`Distribution`/`LogitVector` edge, a central-difference oracle over all 2V
+stencil rows in one call, and two probes of the JSD loss/gradient ceilings
+and the reverse-KL blow-up as teacher mass vanishes on student-supported
+tokens. Row sums and row dot products reduce each row as the one-row numpy
+call would, so a stacked call is bit-identical to one call per row.
 
 Conventions: natural logs, 0*log(0) := 0, and the reverse direction is
 defined as rev(p||q) := KL(q||p). Infinite losses are reported as a genuine
@@ -106,21 +106,32 @@ def _inf_norms(g: np.ndarray) -> np.ndarray:
         return np.max(np.abs(g), axis=-1)
 
 
-def _kl_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise KL(a||b) with 0*log(0)=0; +inf where a charges a b-null token.
+def _log_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise log(a / b): 0 where a is 0, +inf where a positive a meets a
+    null b, and log a - log b where a / b overflows (a denormal b)."""
+    ratio = np.where(a > 0, a / b, 1.0)
+    out = np.log(ratio)
+    if ratio.max(initial=0.0) == math.inf:
+        over = (ratio == math.inf) & (b > 0)
+        out[over] = np.log(a[over]) - np.log(b[over])
+    return out
 
-    A row with zeros sums only its a-positive terms, so it rounds exactly as
-    np.sum(row[a > 0]) does.
-    """
-    pos = a > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = a * np.log(a / b)
+
+def _kl_rows(a: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
+    """Row-wise KL(a||b) from log_ratio = _log_ratio(a, b). A row with zeros
+    sums only its a-positive terms, so it rounds exactly as np.sum(row[a > 0])."""
+    terms = a * log_ratio
     out = terms.sum(axis=-1)
-    if not (pos.all() and b.all()):
+    pos = a > 0
+    if not pos.all():
         for i in np.flatnonzero(~pos.all(axis=-1)):
             out[i] = terms[i][pos[i]].sum()
-        out[(pos & (b == 0)).any(axis=-1)] = math.inf
     return np.maximum(out, 0.0)
+
+
+def _centred(Q: np.ndarray, ell: np.ndarray) -> np.ndarray:
+    """Logit gradient Q * (ell - E_Q ell) of a loss whose gradient in Q is ell."""
+    return Q * (ell - _row_dot(Q, ell)[:, None])
 
 
 def batch(
@@ -128,56 +139,42 @@ def batch(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Divergence of teacher rows P from student rows Q, one value per row.
 
-    P and Q are (N, V) probability arrays. Returns the N values and, with
-    grad, the (N, V) gradients in the student's logits (else None). With
-    grad, a student zero where the teacher is positive (a binned student
-    whose tail underflowed) adds nothing, by 0 log 0 := 0. Inputs are not
-    validated beyond a matching vocabulary: the wrappers check them at the
-    API edge.
+    P and Q are (N, V) probability arrays. Returns the N values, which do not
+    depend on grad, and with grad the (N, V) gradients in the student's
+    logits (else None). A student zero adds nothing, by 0 log 0 := 0. Inputs
+    are not validated beyond a matching vocabulary: the wrappers check them
+    at the API edge.
 
-    Forward KL's gradient collapses to q - p. Reverse KL's is
-    sum_v q(v) (delta_iv - q(i)) log(q(v)/p(v)), which diverges as teacher
-    mass on a student-supported token goes to zero; an exact teacher zero
-    gives value +inf and +inf/-inf entries, so callers that want finite
-    output floor p first. JSD combines the two mixture-KL terms via the
-    softmax Jacobian and is uniformly bounded.
+    Each logit gradient is Q * (d - E_Q d) for the loss's gradient d in Q:
+    Q - P for forward KL; d = log(Q/P) for reverse KL, +inf/-inf entries and
+    value +inf on a teacher zero under a positive student (callers that want
+    finite output floor P); d = (1 - beta) log(Q/m) for JSD, bounded.
     """
     if P.shape[-1] != Q.shape[-1]:
         raise ValueError(f"vocab mismatch: {P.shape[-1]} vs {Q.shape[-1]}")
-    if kind.name == "forward_kl":
-        return _kl_rows(P, Q), (Q - P if grad else None)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if kind.name == "forward_kl":
+            return _kl_rows(P, _log_ratio(P, Q)), (Q - P if grad else None)
 
-    if kind.name == "reverse_kl":
-        if not grad:
-            return _kl_rows(Q, P), None
-        # With the gradient, the value is the gradient's own E_q[log q/p].
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.log(np.where(Q > 0, Q / P, 1.0))
-            total = _row_dot(Q, t)
-            g = Q * (t - total[:, None])
-        values = np.maximum(total, 0.0)
-        if not P.all():
-            # An exact teacher zero under a positive student blows up:
-            # +inf on the missing tokens, -inf everywhere else.
-            zero = (P == 0).any(axis=-1)
-            values[zero] = math.inf
-            g[zero] = np.where(P[zero] == 0, math.inf, -math.inf)
-        return values, g
+        if kind.name == "reverse_kl":
+            ell = _log_ratio(Q, P)
+            values = _kl_rows(Q, ell)
+            if not grad:
+                return values, None
+            g = _centred(Q, ell)
+            inf = values == math.inf
+            if inf.any():
+                # +inf on the teacher zeros, -inf everywhere else
+                g[inf] = np.where(P[inf] == 0, math.inf, -math.inf)
+            return values, g
 
-    beta = kind.beta
-    m = beta * P + (1 - beta) * Q
-    values = beta * _kl_rows(P, m) + (1 - beta) * _kl_rows(Q, m)
-    # identity holds exactly; the mixture would round otherwise
-    values[(P == Q).all(axis=-1)] = 0.0
-    if not grad:
-        return values, None
-    r = P * Q / m
-    grad_p_term = -(1 - beta) * (r - Q * r.sum(axis=-1, keepdims=True))
-    ell = np.log(np.where(Q > 0, Q / m, 1.0))
-    x = Q * (ell - _row_dot(Q, ell)[:, None])
-    s = Q * Q / m
-    y = (1 - beta) * (s - Q * s.sum(axis=-1, keepdims=True))
-    return values, beta * grad_p_term + (1 - beta) * (x - y)
+        beta = kind.beta
+        m = beta * P + (1 - beta) * Q
+        ell = _log_ratio(Q, m)
+        values = beta * _kl_rows(P, _log_ratio(P, m)) + (1 - beta) * _kl_rows(Q, ell)
+        # identity holds exactly; the mixture would round otherwise
+        values[(P == Q).all(axis=-1)] = 0.0
+        return values, ((1 - beta) * _centred(Q, ell) if grad else None)
 
 
 def divergence_value(kind: DivergenceKind, p: Distribution, q: Distribution) -> float:

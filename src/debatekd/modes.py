@@ -257,6 +257,7 @@ def _descend(
     to 5 times; then ModeFitError carries the costs of its last attempt.
     """
     P = floor_and_renormalize(teacher.distribution(), _TEACHER_FLOOR).probs[None]
+    edges = teacher.grid.edges
     start = np.array([init.mean, init.log_width])
     params = np.tile(start, (len(kinds), 1))
     attempts = [0] * len(kinds)
@@ -266,7 +267,7 @@ def _descend(
     while len(results) < len(kinds):
         live = [r for r in range(len(kinds)) if r not in results]
         x = params[live]
-        values, grads = _costs_and_gradients([kinds[r] for r in live], P, teacher.grid.edges, x)
+        values, grads = _costs_and_gradients([kinds[r] for r in live], P, edges, x)
         for r, row, cost, grad in zip(live, x, values.tolist(), grads):
             if math.isfinite(cost):
                 costs[r].append(cost)

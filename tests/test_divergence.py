@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,20 @@ def reference_kl(a, b):
     return max(float(np.sum(a[pos] * np.log(a[pos] / b[pos]))), 0.0)
 
 
+def four_term_jsd_gradient(P, Q, beta):
+    """JSD logit gradient term by term, without the cancellation that gives
+    the kernel's closed form: the p-term and the q-term, each through the
+    mixture and the softmax Jacobian. Evaluates in the dtype of P and Q."""
+    m = beta * P + (1 - beta) * Q
+    r = P * Q / m
+    grad_p_term = -(1 - beta) * (r - Q * r.sum(axis=-1, keepdims=True))
+    ell = np.log(np.where(Q > 0, Q / m, 1.0))
+    x = Q * (ell - (Q * ell).sum(axis=-1, keepdims=True))
+    s = Q * Q / m
+    y = (1 - beta) * (s - Q * s.sum(axis=-1, keepdims=True))
+    return beta * grad_p_term + (1 - beta) * (x - y)
+
+
 class TestBatchKernel:
     @settings(max_examples=60, deadline=None)
     @given(stacked_rows())
@@ -201,7 +216,11 @@ class TestBatchKernel:
         for kind in ALL_KINDS:
             values, none = batch(kind, p, q, grad=False)
             assert none is None
-            grad_values, grads = batch(kind, p, softmax_rows(z))
+            q_soft = softmax_rows(z)
+            grad_values, grads = batch(kind, p, q_soft)
+            # the value does not depend on grad
+            assert batch(kind, p, q)[0].tobytes() == values.tobytes()
+            assert batch(kind, p, q_soft, grad=False)[0].tobytes() == grad_values.tobytes()
             for i in range(len(p)):
                 pd = Distribution(p[i])
                 value = divergence_value(kind, pd, Distribution(q[i]))
@@ -225,8 +244,9 @@ class TestBatchKernel:
 
     def test_student_zeros_add_nothing_with_the_gradient(self):
         # a binned student whose tail underflowed: 0 log 0 := 0 in value and gradient
-        p = np.array([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]])
-        q = np.array([[0.0, 0.5, 0.5, 0.0], [0.0, 0.3, 0.0, 0.7]])
+        # the last row shares a zero token between teacher and student
+        p = np.array([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25], [0.5, 0.3, 0.2, 0.0]])
+        q = np.array([[0.0, 0.5, 0.5, 0.0], [0.0, 0.3, 0.0, 0.7], [0.0, 0.25, 0.75, 0.0]])
 
         def reference(kind, p, q):
             if kind == REVERSE_KL:
@@ -251,6 +271,49 @@ class TestBatchKernel:
                     up[pos], down[pos] = softmax_rows(np.stack((z + e, z - e)))
                     fd.append((reference(kind, p[i], up) - reference(kind, p[i], down)) / (2 * h))
                 np.testing.assert_allclose(g[i][pos], fd, rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5])
+    def test_jsd_gradient_matches_the_four_term_form(self, beta):
+        rng = np.random.default_rng(11)
+        for vocab in (2, 3, 8, 32, 256):
+            for alpha in (0.1, 1.0):
+                p = rng.dirichlet(np.full(vocab, alpha), size=100)
+                p[rng.random(p.shape) < 0.1] = 0.0
+                p[p.sum(axis=1) == 0, 0] = 1.0
+                p /= p.sum(axis=1, keepdims=True)
+                q = softmax_rows(rng.normal(0, 3, (100, vocab)))
+                _, g = batch(jsd_kind(beta), p, q)
+                oracle = four_term_jsd_gradient(p, q, beta)
+                np.testing.assert_allclose(g, oracle, rtol=0, atol=1e-14)
+                wide = p.astype(np.longdouble), q.astype(np.longdouble)
+                exact = four_term_jsd_gradient(*wide, beta)
+                np.testing.assert_allclose(g, exact, rtol=0, atol=1e-15)
+
+    def test_denormal_student_ratio_does_not_overflow(self):
+        # 0.5 / 5e-324 overflows; log a - log b does not
+        p = np.array([[0.5, 0.5], [0.3, 0.7], [0.25, 0.75]])
+        q = np.array([[1.0, 5e-324], [1.0, 1e-320], [1.0, 1e-300]])
+
+        def reference(a, b):
+            return math.fsum(x * (math.log(x) - math.log(y)) for x, y in zip(a, b))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            forward, _ = batch(FORWARD_KL, p, q)
+            reverse, g = batch(REVERSE_KL, q, p)
+            u, d = Distribution(p[0]), Distribution(q[0])
+            assert divergence_value(FORWARD_KL, u, d) == pytest.approx(371.5268887801307, rel=1e-14)
+            assert divergence_value(REVERSE_KL, d, u) == pytest.approx(371.5268887801307, rel=1e-14)
+            assert logit_gradient(REVERSE_KL, d, LogitVector(np.zeros(2))).is_finite
+        for i in range(len(p)):
+            assert forward[i] == pytest.approx(reference(p[i], q[i]), rel=1e-14)
+            # the reverse-KL student p has logit gradient p * (t - E_p t), t = log(p/q)
+            t = [math.log(x) - math.log(y) for x, y in zip(p[i], q[i])]
+            mean = math.fsum(x * y for x, y in zip(p[i], t))
+            np.testing.assert_allclose(g[i], p[i] * (np.array(t) - mean), rtol=1e-14)
+        assert reverse.tobytes() == forward.tobytes()  # rev(q||p) := KL(p||q)
+        # the last row's ratios do not overflow and keep np.log(a / b)
+        assert forward[2] == np.sum(p[2] * np.log(p[2] / q[2]))
 
     def test_vocab_mismatch_rejected(self):
         with pytest.raises(ValueError, match="vocab mismatch: 2 vs 3"):

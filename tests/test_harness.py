@@ -280,22 +280,22 @@ ARTIFACT_DIGESTS = {
     "bounds": (
         {"experiment": "bounds", "iterations": 2000},
         {
-            "bounds_report.json": "14999536fe97e0f35881721915d342759b22f628adaebec089084090ba95a51b",
-            "metrics.csv": "a81aaa23e4d8ff70b71b196bb71ff2799a989329d9ba50fa08d5104e3b007e08",
+            "bounds_report.json": "6d015c010f5a630afb40fe39b49649f114ab0055744317eb57d4185d6895b469",
+            "metrics.csv": "6ac5b8344ff9eaf2fcc7aa0cd2110b09a1603f9a1972a89819ab6c8a50e38972",
             "revkl_report.json": "45924f656bf7e8a20eb3172cd5a7a007aa505cfc9367db8e3d023875d9454a48",
         },
     ),
     "opad-complementary": (
         {"experiment": "opad", "kind": "jsd:0.5", "iterations": 200},
         {
-            "metrics.csv": "3cdf205ae7be7317101c6ff45aad5565b78b27323190b7d8208bf13769608a23",
-            "train_report.json": "4a28fe6d4c01f3c109126ff96b520e89c1f7d7be91e5a24a92c12688aa0599d6",
+            "metrics.csv": "d8d207d6ccbfa8fc90318bd1732ef5e09d1d5ba7310855dcd7810ec68a2482bd",
+            "train_report.json": "4120a5fc869e4dce80ae518187dcc2eaf156cd6940a054d1e54db9a145c2325b",
         },
     ),
     "opad-privileged-rev": (
         {"experiment": "opad", "fixture": "privileged-gap", "kind": "rev", "iterations": 50},
         {
-            "metrics.csv": "f8a4bfd4b0402f2579d284c3de4c78dcabe4e6c8f4852fda8947a0c42e21a441",
+            "metrics.csv": "cf90655847700135ac9f077fdaeaa771f3db57dfa742eab5f4ccf18012d8e308",
             "train_report.json": "145e994df227d6b5113cc93a9105b0e68347209bcf11c823b4f1b92e4a0ac6cd",
         },
     ),
@@ -310,14 +310,14 @@ ARTIFACT_DIGESTS = {
         {"experiment": "gradcheck", "iterations": 4},
         {
             "gradcheck_report.json": "9cbe18b246fab1b6342d4d2f9ce92a7de88d7746168baf8a3ba7bbb625d22a55",
-            "metrics.csv": "d16833697c18516d4ca465d7bf2bc9d9245c9b8dc33bd95f62be71f2a97cbc30",
+            "metrics.csv": "70ba01735484f8771f236d7dc445994e602d846abf352538018f3edbff5f35fb",
         },
     ),
     "modes": (
         {"experiment": "modes"},
         {
-            "metrics.csv": "67b98be13d73dbc030254df934a73aa6769ae09df61590294c42507d17b2ee71",
-            "modes_report.json": "8379dca2712efe5aa26cc2b8a8e5c076fd0abc40baa2d2f57221ad49b29051ef",
+            "metrics.csv": "981a7acd3b716d085633d713a62fcfa606dc88f9d518e9d31d46e902cc8e43b5",
+            "modes_report.json": "84d9a68263f48ce73791fe3becfa86762f45da9b2838773c5b2fd7f5ecbe917f",
         },
     ),
     "debate-demo": (
