@@ -8,10 +8,16 @@ the closed form (1 - beta) log(q/m): the two terms that reach q through the
 mixture m cancel the +(1 - beta) of q log q. Everything else wraps `batch`:
 `divergence_value` and `logit_gradient` at the validated
 `Distribution`/`LogitVector` edge, a central-difference oracle over all 2V
-stencil rows in one call, and two probes of the JSD loss/gradient ceilings
-and the reverse-KL blow-up as teacher mass vanishes on student-supported
-tokens. Row sums and row dot products reduce each row as the one-row numpy
-call would, so a stacked call is bit-identical to one call per row.
+stencil rows in one call, and two probes. The JSD probe checks the loss and
+gradient ceilings: it splits its trials over the vocabularies, draws each
+vocabulary's share as one block of near-disjoint, random and spiked rows
+with vectorised draws, and scores the block as soon as it is drawn, keeping
+only the running maxima and their first witnesses (point-mass pairs first,
+then the blocks in vocabulary order), so it holds one block at a time. The
+reverse-KL probe shows the gradient blow-up as teacher mass vanishes on
+student-supported tokens. Row sums and row dot products reduce each row as
+the one-row numpy call would, so a stacked call is bit-identical to one
+call per row.
 
 Conventions: natural logs, 0*log(0) := 0, and the reverse direction is
 defined as rev(p||q) := KL(q||p). Infinite losses are reported as a genuine
@@ -118,15 +124,9 @@ def _log_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _kl_rows(a: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
-    """Row-wise KL(a||b) from log_ratio = _log_ratio(a, b). A row with zeros
-    sums only its a-positive terms, so it rounds exactly as np.sum(row[a > 0])."""
-    terms = a * log_ratio
-    out = terms.sum(axis=-1)
-    pos = a > 0
-    if not pos.all():
-        for i in np.flatnonzero(~pos.all(axis=-1)):
-            out[i] = terms[i][pos[i]].sum()
-    return np.maximum(out, 0.0)
+    """Row-wise KL(a||b) from log_ratio = _log_ratio(a, b); a zero in a adds
+    an exact 0 term to its row."""
+    return np.maximum((a * log_ratio).sum(axis=-1), 0.0)
 
 
 def _centred(Q: np.ndarray, ell: np.ndarray) -> np.ndarray:
@@ -233,43 +233,41 @@ class BoundProbeReport:
         return json.dumps({"kind": "jsd", **dataclasses.asdict(self)}, indent=2)
 
 
-def _adversarial_pair(vocab: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Near-disjoint pair: p on the left half, q on the right, with cross
-    mass log-uniform down to 1e-300. The JSD sup lives out here."""
-    half = vocab // 2
-    t = 10.0 ** rng.uniform(-300, -2)
-    p = np.full(vocab, t / max(vocab - half, 1))
-    p[:half] = (1 - t) / half
-    u = 10.0 ** rng.uniform(-300, -2)
-    q = np.full(vocab, u / half)
-    q[half:] = (1 - u) / max(vocab - half, 1)
-    return p / p.sum(), q / q.sum()
+#: Dirichlet concentrations of a random row, drawn per row and per side.
+_ALPHAS = np.array([0.1, 1.0, 10.0])
 
 
-def _spike_pair(vocab: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """p concentrated off one coordinate where q holds a moderate spike;
-    the gradient inf-norm peaks for spikes around 0.7, not at point masses."""
-    t = 10.0 ** rng.uniform(-300, -8)
-    p = np.full(vocab, (1 - t) / (vocab - 1))
-    p[0] = t
-    spike = rng.uniform(0.3, 0.9)
-    q = np.full(vocab, (1 - spike) / (vocab - 1))
-    q[0] = spike
-    return p / p.sum(), q / q.sum()
+def _draw_block(n: int, vocab: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """n (p, q) rows at one vocabulary; row j is near-disjoint, random,
+    spiked or random as j % 4.
+
+    Near-disjoint: p on the left half and q on the right, each with cross
+    mass 10^U(-300, -2); the JSD sup lives out here. Spiked: p holds
+    10^U(-300, -8) on token 0, where q holds a spike U(0.3, 0.9); the
+    gradient inf-norm peaks for spikes around 0.7, not at point masses.
+    Random: Dirichlet p and q, with q floored at 1e-300 (Dirichlet(0.1) can
+    underflow to exact zero) so that log q is a usable logit row.
+    """
+    P, Q = np.empty((2, n, vocab))
+    tokens, half = np.arange(vocab), vocab // 2
+    t, u = 10.0 ** rng.uniform(-300, -2, (2, len(P[0::4]), 1))
+    P[0::4] = np.where(tokens < half, (1 - t) / half, t / (vocab - half))
+    Q[0::4] = np.where(tokens < half, u / half, (1 - u) / (vocab - half))
+    t = 10.0 ** rng.uniform(-300, -8, (len(P[2::4]), 1))
+    spike = rng.uniform(0.3, 0.9, t.shape)
+    P[2::4] = np.where(tokens == 0, t, (1 - t) / (vocab - 1))
+    Q[2::4] = np.where(tokens == 0, spike, (1 - spike) / (vocab - 1))
+    alphas = _ALPHAS[rng.integers(3, size=(2, len(P[1::2]), 1))]
+    gammas = rng.standard_gamma(alphas, size=(2, len(P[1::2]), vocab))
+    gammas /= gammas.sum(-1, keepdims=True)
+    P[1::2], Q[1::2] = gammas[0], np.maximum(gammas[1], 1e-300)
+    return P / P.sum(-1, keepdims=True), Q / Q.sum(-1, keepdims=True)
 
 
-#: Dirichlet concentrations of a random pair, drawn by index (rng.choice
-#: would draw the same index, but converts the list to an array every call).
-_ALPHAS = (0.1, 1.0, 10.0)
-
-
-def _random_pair(vocab: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    p = rng.dirichlet(np.full(vocab, _ALPHAS[rng.integers(3)]))
-    q = rng.dirichlet(np.full(vocab, _ALPHAS[rng.integers(3)]))
-    # Dirichlet(0.1) can underflow entries to exact zero; keep q usable as
-    # softmax output by flooring it at a subnormal-safe level.
-    q = np.maximum(q, 1e-300)
-    return p, q / q.sum()
+def _beats(x: float, best: float) -> bool:
+    """x is a new first maximum: above best, or the first NaN of the scan,
+    which stays the maximum so that the bound checks see it."""
+    return x > best or (math.isnan(x) and not math.isnan(best))
 
 
 def jsd_bound_probe(
@@ -283,59 +281,54 @@ def jsd_bound_probe(
     Tracks the maximum observed loss, JSD gradient inf-norm, and forward-KL
     gradient inf-norm, together with the witness pairs that attained them.
     The disjoint point-mass pair (which attains the loss sup exactly) is
-    always included. Pairs are drawn one trial at a time, vocabularies
-    cycling, and evaluated one vocabulary at a time; a witness is the first
-    maximum in scan order, every point-mass pair before the first trial.
+    always included. Vocabulary k of K gets len(range(k, n_trials, K)) of
+    the trials, drawn as one `_draw_block` and scored as soon as it is
+    drawn, so at most one block is held at a time. A witness is the first
+    maximum in scan order: every vocabulary's point-mass pair, then the
+    blocks in vocabulary order, each block in row order.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if not vocab_sizes or min(vocab_sizes) < 2:
+        raise ValueError(f"vocab_sizes must be a non-empty list of sizes >= 2, got {vocab_sizes}")
     kind = jsd_kind(beta)
     vocab_sizes = [int(v) for v in vocab_sizes]
-    n_vocabs = len(vocab_sizes)
-    # Trial t draws at vocabulary k = t % n_vocabs into row t // n_vocabs of
-    # block k, whose two planes hold the p and q rows.
-    blocks = [
-        np.empty((2, len(range(k, n_trials, n_vocabs)), v)) for k, v in enumerate(vocab_sizes)
-    ]
-    draws = (_adversarial_pair, _random_pair, _spike_pair, _random_pair)
-    for t in range(n_trials):
-        k = t % n_vocabs
-        blocks[k][:, t // n_vocabs] = draws[t % 4](vocab_sizes[k], rng)
+    max_loss = max_inf_norm = max_fwd = -math.inf
 
-    # Scan order: the point-mass pair of each vocabulary, then the trials.
-    losses = np.empty(n_vocabs + n_trials)
-    for k, v in enumerate(vocab_sizes):
+    def witness(v: int, p: np.ndarray, q: np.ndarray) -> dict:
+        return {"vocab": v, "p": p.tolist(), "q": q.tolist()}
+
+    for v in vocab_sizes:
         pm = np.eye(2, v)
-        losses[k] = batch(kind, pm[:1], pm[1:], grad=False)[0][0]
-    grad_norms, fwd_norms = np.empty(n_trials), np.empty(n_trials)
-    for k, (p, q) in enumerate(blocks[:n_trials]):
-        trials = slice(k, n_trials, n_vocabs)
+        loss = batch(kind, pm[:1], pm[1:], grad=False)[0][0]
+        if _beats(loss, max_loss):
+            max_loss, witness_loss = loss, witness(v, *pm)
+    for k, v in enumerate(vocab_sizes[:n_trials]):
+        p, q = _draw_block(len(range(k, n_trials, len(vocab_sizes))), v, rng)
         validate_probs(p)
         validate_probs(q)
         z = np.log(q)
         validate_logits(z)
         q_soft = softmax_rows(z)
-        losses[n_vocabs:][trials] = batch(kind, p, q, grad=False)[0]
-        grad_norms[trials] = _inf_norms(batch(kind, p, q_soft)[1])
-        fwd_norms[trials] = _inf_norms(batch(FORWARD_KL, p, q_soft)[1])
+        losses = batch(kind, p, q, grad=False)[0]
+        grad_norms = _inf_norms(batch(kind, p, q_soft)[1])
+        max_fwd = np.maximum(max_fwd, _inf_norms(batch(FORWARD_KL, p, q_soft)[1]).max())
+        i, j = int(np.argmax(losses)), int(np.argmax(grad_norms))
+        if _beats(losses[i], max_loss):
+            max_loss, witness_loss = losses[i], witness(v, p[i], q[i])
+        if _beats(grad_norms[j], max_inf_norm):
+            max_inf_norm, witness_grad = grad_norms[j], witness(v, p[j], q[j])
 
-    def witness(k: int) -> dict:
-        v = vocab_sizes[k % n_vocabs]
-        t = k - n_vocabs
-        p, q = np.eye(2, v) if t < 0 else blocks[t % n_vocabs][:, t // n_vocabs]
-        return {"vocab": v, "p": p.tolist(), "q": q.tolist()}
-
-    i, j = int(np.argmax(losses)), int(np.argmax(grad_norms))
     return BoundProbeReport(
         beta=beta,
         n_trials=n_trials,
         vocab_sizes=vocab_sizes,
-        max_loss=float(losses[i]),
-        max_inf_norm=float(grad_norms[j]),
-        max_fwd_inf_norm=float(np.max(fwd_norms)),
+        max_loss=float(max_loss),
+        max_inf_norm=float(max_inf_norm),
+        max_fwd_inf_norm=float(max_fwd),
         loss_bound=jsd_loss_bound(beta),
-        witness_loss=witness(i),
-        witness_grad=witness(n_vocabs + j),
+        witness_loss=witness_loss,
+        witness_grad=witness_grad,
     )
 
 

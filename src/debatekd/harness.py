@@ -28,9 +28,7 @@ from .divergence import (
     parse_kind,
     revkl_unboundedness_probe,
 )
-from .simplex import _MAX_LOGIT_SPREAD, RngSeed
-
-EXPERIMENTS = ("bounds", "gradcheck", "modes", "debate-demo", "opad")
+from .simplex import _MAX_LOGIT_SPREAD, DEFAULT_FLOOR, RngSeed
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -72,7 +70,7 @@ class RunConfig:
     rounds: int = 2
     revision_rate: float = 0.5
     conf_temperature: float = 1.0
-    eps: float = 1e-8
+    eps: float = DEFAULT_FLOOR
     eta: float = 0.1
     max_steps: int = 4
     iterations: int = 500
@@ -427,6 +425,7 @@ _RUNNERS = {
     "debate-demo": _run_debate_demo,
     "opad": _run_opad,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(config: RunConfig) -> int:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,11 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import probability_vectors
+from debatekd import divergence
 from debatekd.divergence import (
     FORWARD_KL,
     JSD_GRAD_TIGHT_BOUND,
     REVERSE_KL,
     DivergenceKind,
+    _draw_block,
     batch,
     divergence_value,
     finite_difference_gradient,
@@ -230,6 +233,15 @@ class TestBatchKernel:
                 assert rep.logit_grad.tobytes() == grads[i].tobytes()
 
     def test_rows_with_zeros_round_like_the_scalar_reference(self):
+        def full_row_kl(a, b):
+            """KL(a||b) summed over the whole 1-D row, an exact 0 term where a = 0."""
+            pos = a > 0
+            if np.any(b[pos] == 0):
+                return math.inf
+            terms = np.zeros_like(a)
+            terms[pos] = a[pos] * np.log(a[pos] / b[pos])
+            return max(float(terms.sum()), 0.0)
+
         rng = np.random.default_rng(6)
         for vocab in (3, 8, 9, 17, 64):
             p = rng.dirichlet(np.full(vocab, 0.5), size=200)
@@ -239,8 +251,12 @@ class TestBatchKernel:
             forward, _ = batch(FORWARD_KL, p, q, grad=False)
             reverse, _ = batch(REVERSE_KL, p, q, grad=False)
             for i in range(len(p)):
-                assert forward[i] == reference_kl(p[i], q[i])
-                assert reverse[i] == reference_kl(q[i], p[i])
+                assert forward[i] == full_row_kl(p[i], q[i])
+                assert reverse[i] == full_row_kl(q[i], p[i])
+                # a stacked call gives the bytes of single-row calls
+                one = p[i : i + 1], q[i : i + 1]
+                for kind, stacked in ((FORWARD_KL, forward), (REVERSE_KL, reverse)):
+                    assert batch(kind, *one, grad=False)[0].tobytes() == stacked[i].tobytes()
 
     def test_student_zeros_add_nothing_with_the_gradient(self):
         # a binned student whose tail underflowed: 0 log 0 := 0 in value and gradient
@@ -391,6 +407,64 @@ class TestBoundProbes:
         assert payload["kind"] == "jsd"
         assert {"beta", "n_trials", "max_loss", "max_inf_norm"} <= set(payload)
 
+    @pytest.mark.parametrize(
+        "seed, n_trials, vocab_sizes",
+        [(0, 400, [2, 3, 5]), (3, 997, list(range(2, 65))), (7, 64, [64, 2])],
+    )
+    def test_each_witness_reproduces_its_maximum(self, seed, n_trials, vocab_sizes):
+        report = jsd_bound_probe(n_trials, vocab_sizes, RngSeed(seed).stream("probes"))
+        w = report.witness_loss
+        loss, _ = batch(jsd_kind(0.5), np.array([w["p"]]), np.array([w["q"]]), grad=False)
+        assert loss.tobytes() == np.float64(report.max_loss).tobytes()
+        w = report.witness_grad
+        _, g = batch(jsd_kind(0.5), np.array([w["p"]]), softmax_rows(np.log([w["q"]])))
+        assert np.max(np.abs(g)).tobytes() == np.float64(report.max_inf_norm).tobytes()
+        assert {report.witness_loss["vocab"], w["vocab"]} <= set(vocab_sizes)
+
+    def test_one_block_at_a_time(self):
+        tracemalloc.start()
+        try:
+            jsd_bound_probe(20_000, list(range(2, 65)), RngSeed(0).stream("probes"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        # fewer trials than vocabularies: the last one gets none
+        report = jsd_bound_probe(3, [2, 4, 8, 16], RngSeed(1).stream("probes"))
+        assert math.isfinite(report.max_loss) and math.isfinite(report.max_inf_norm)
+        assert math.isfinite(report.max_fwd_inf_norm)
+        assert report.witness_grad["vocab"] in (2, 4, 8)
+
+    def test_a_nan_maximum_stays_visible(self, monkeypatch):
+        real = divergence.batch
+
+        def nan_at_vocab_3(kind, P, Q, grad=True):
+            values, g = real(kind, P, Q, grad)
+            if P.shape[-1] == 3 and len(P) > 1:
+                values[1] = math.nan
+                if grad:
+                    g[1] = math.nan
+            return values, g
+
+        monkeypatch.setattr(divergence, "batch", nan_at_vocab_3)
+        report = jsd_bound_probe(30, [2, 3, 4], RngSeed(0).stream("probes"))
+        assert math.isnan(report.max_loss) and report.witness_loss["vocab"] == 3
+        assert math.isnan(report.max_inf_norm) and report.witness_grad["vocab"] == 3
+        assert math.isnan(report.max_fwd_inf_norm)
+
+    @pytest.mark.parametrize("vocab", [2, 3, 64])
+    def test_block_rows_belong_to_their_families(self, vocab):
+        p, q = _draw_block(41, vocab, RngSeed(vocab).stream("probes"))
+        for rows in (p, q):
+            assert (rows >= 0).all()
+            np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        half = vocab // 2
+        assert (p[0::4, :half].sum(axis=1) >= 0.99).all()
+        assert (q[0::4, half:].sum(axis=1) >= 0.99).all()
+        assert ((q[2::4, 0] >= 0.3) & (q[2::4, 0] <= 0.9)).all()
+        assert (p[2::4, 0] <= 1e-8).all()
+        assert (q[1::2] > 0).all()
+
     def test_revkl_probe_values(self):
         out = revkl_unboundedness_probe([0.5, 1e-12, 1e-30])
         assert out[0.5] == 0.0
@@ -412,3 +486,6 @@ class TestBoundProbes:
     def test_probe_needs_trials(self):
         with pytest.raises(ValueError):
             jsd_bound_probe(0, [2], RngSeed(0).stream("probes"))
+        for vocab_sizes in ([], [2, 1]):
+            with pytest.raises(ValueError, match="vocab_sizes"):
+                jsd_bound_probe(5, vocab_sizes, RngSeed(0).stream("probes"))

@@ -280,8 +280,8 @@ ARTIFACT_DIGESTS = {
     "bounds": (
         {"experiment": "bounds", "iterations": 2000},
         {
-            "bounds_report.json": "6d015c010f5a630afb40fe39b49649f114ab0055744317eb57d4185d6895b469",
-            "metrics.csv": "6ac5b8344ff9eaf2fcc7aa0cd2110b09a1603f9a1972a89819ab6c8a50e38972",
+            "bounds_report.json": "19cdc3fd7cc7a018de67a525c18b195584cd42304ef0c76d5ec4e00fe1a62d9f",
+            "metrics.csv": "d7aade31846944ea1c0e21d2016c631f87c1bec12c048676c8781b2ce5c04480",
             "revkl_report.json": "45924f656bf7e8a20eb3172cd5a7a007aa505cfc9367db8e3d023875d9454a48",
         },
     ),
