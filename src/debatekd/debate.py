@@ -2,9 +2,9 @@
 
 Round 1 is independent: every teacher proposes from its own base table with
 no inter-teacher context. In each later round a teacher revises by reading
-all previous-round responses. The full utterance grid is privileged context:
-it is visible to teachers during force-decoding and never to the student,
-which is why no student-facing type in this package can hold a transcript.
+all previous-round responses. The utterance grid is privileged context:
+teachers and transcript output read it, the student never does, which is
+why no student-facing type in this package can hold a transcript.
 
 Mock teachers revise by confidence-free geometric pooling at rate lambda:
 post proportional to base^(1-lambda) * (prod_j prev_j)^(lambda/K). A mock's
@@ -27,29 +27,13 @@ StateKey = int | str
 
 
 @dataclass(frozen=True)
-class TeacherId:
-    """Positional identity of a teacher within a debate."""
-
-    index: int
-    name: str
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError("teacher index must be non-negative")
-
-
-@dataclass(frozen=True)
 class Utterance:
     """One cell of the debate grid: a proposed action plus a confidence."""
 
-    teacher: TeacherId
-    round: int
     content: tuple[int, ...]
     confidence: float
 
     def __post_init__(self):
-        if self.round < 1:
-            raise ValueError("rounds are 1-based")
         if len(self.content) == 0:
             raise ValueError("utterance content must be non-empty")
         if not 0 <= self.confidence <= 100:
@@ -58,31 +42,30 @@ class Utterance:
 
 @dataclass(frozen=True)
 class DebateTranscript:
-    """Complete K x R grid of utterances debated for one state.
+    """Complete R x K grid of utterances debated for one state.
 
-    Privileged: consumed only by teacher-side force-decoding, never by the
-    student.
+    A cell's position is its only identity: row r - 1 is round r, column k
+    is teacher k, named names[k]. Privileged: serialisation and debate-demo
+    read it, never the student; force-decoding reads post_dists instead.
     """
 
-    utterances: tuple[tuple[Utterance, ...], ...]  # indexed [round][teacher]
+    utterances: tuple[tuple[Utterance, ...], ...]  # indexed [round - 1][teacher]
+    names: tuple[str, ...]
     state_ref: StateKey | None = None
 
     def __post_init__(self):
         if not self.utterances:
             raise ValueError("transcript has no rounds")
-        k = len(self.utterances[0])
+        k = len(self.names)
         if k == 0:
             raise ValueError("transcript has no teachers")
         for r, row in enumerate(self.utterances, start=1):
             if len(row) != k:
                 raise ValueError(f"round {r} has {len(row)} cells, expected {k}")
-            for cell in row:
-                if cell.round != r:
-                    raise ValueError(f"cell round {cell.round} placed in row {r}")
 
     @property
     def num_teachers(self) -> int:
-        return len(self.utterances[0])
+        return len(self.names)
 
     @property
     def num_rounds(self) -> int:
@@ -100,15 +83,15 @@ class TeacherResponse:
 class Teacher:
     """Interface a debate participant must implement.
 
-    `respond` receives the state and all prior rounds' responses (round 1
-    gets an empty list, so the round is len(prior_rounds) + 1) and returns
-    this round's response. A live-model adapter would read the prior
-    utterances; mocks read the prior distributions. Responses must be
-    deterministic functions of their inputs so transcript assembly is
-    order-independent within a round.
+    `name` labels the teacher's transcript column. `respond` receives the
+    state and all prior rounds' responses (round 1 gets an empty list, so
+    the round is len(prior_rounds) + 1) and returns this round's response.
+    A live-model adapter would read the prior utterances; mocks read the
+    prior distributions. Responses must be deterministic functions of their
+    inputs so transcript assembly is order-independent within a round.
     """
 
-    id: TeacherId
+    name: str
 
     def respond(
         self, state: StateKey, prior_rounds: list[list["TeacherResponse"]]
@@ -148,40 +131,25 @@ def temperature_for_peak(vocab: int, peak_mass: float, target_peak: float) -> fl
 class MockTeacherSpec:
     """Deterministic stand-in for a live teacher model.
 
-    base_table holds one joint action distribution per state. On states in
-    the competence set the table peaks on a correct action with mass at
-    least peak_mass; elsewhere it is flattened (top mass at most 0.5), e.g.
-    by flattened_row, which checks its own temperature. action_shape is
-    (n_tools, n_args): a flat table index decodes to the (tool, arg) pair
-    an utterance carries. revision_rate is the geometric-pooling rate
-    lambda; 0 disables revision entirely. confidence_override, when set,
-    replaces the top-probability self-report with a fixed value
-    (miscalibrated-confidence experiments).
+    base_table holds one joint action distribution per state; where the
+    teacher is competent it peaks on a correct action, elsewhere it is
+    flattened, e.g. by flattened_row (the fixture tests check each table).
+    action_shape is (n_tools, n_args): a flat table index decodes to the
+    (tool, arg) pair an utterance carries. revision_rate is the
+    geometric-pooling rate lambda; 0 disables revision entirely.
+    confidence_override, when set, replaces the top-probability self-report
+    with a fixed value (miscalibrated-confidence experiments).
     """
 
     name: str
     base_table: dict[StateKey, Distribution]
     action_shape: tuple[int, int]
-    competence_set: frozenset = frozenset()
-    peak_mass: float = 0.9
     revision_rate: float = 0.5
     confidence_override: float | None = None
 
     def __post_init__(self):
         if not 0 <= self.revision_rate <= 1:
             raise ValueError(f"revision_rate must lie in [0, 1], got {self.revision_rate}")
-        for state in self.competence_set:
-            row = self.base_table[state]
-            if float(row.probs.max()) < self.peak_mass:
-                raise ValueError(
-                    f"competent state {state!r} peaks at {row.probs.max():.3f} "
-                    f"< peak_mass {self.peak_mass}"
-                )
-        for state, row in self.base_table.items():
-            if state not in self.competence_set and float(row.probs.max()) > 0.5:
-                raise ValueError(
-                    f"incompetent state {state!r} peaks at {row.probs.max():.3f} > 0.5"
-                )
 
 
 def geometric_pool(
@@ -204,15 +172,15 @@ def geometric_pool(
 class MockTeacher(Teacher):
     """Table-driven teacher with geometric-pool revision."""
 
-    def __init__(self, index: int, spec: MockTeacherSpec):
-        self.id = TeacherId(index, spec.name)
+    def __init__(self, spec: MockTeacherSpec):
+        self.name = spec.name
         self.spec = spec
 
     def base_dist(self, state: StateKey) -> Distribution:
         try:
             return self.spec.base_table[state]
         except KeyError:
-            raise ValueError(f"teacher {self.spec.name!r} has no row for state {state!r}")
+            raise ValueError(f"teacher {self.name!r} has no row for state {state!r}")
 
     def respond(
         self, state: StateKey, prior_rounds: list[list[TeacherResponse]]
@@ -226,8 +194,7 @@ class MockTeacher(Teacher):
         else:
             confidence = round(100.0 * float(dist.probs.max()), 2)
         content = divmod(int(np.argmax(dist.probs)), self.spec.action_shape[1])
-        utt = Utterance(self.id, len(prior_rounds) + 1, content, confidence)
-        return TeacherResponse(dist=dist, utterance=utt)
+        return TeacherResponse(dist=dist, utterance=Utterance(content, confidence))
 
 
 @dataclass(frozen=True)
@@ -242,8 +209,9 @@ class DebateResult:
 def run_debate(teachers: list[Teacher], state: StateKey, rounds: int) -> DebateResult:
     """Run the full debate protocol for one state.
 
-    Within a round the teacher queries are independent (cells are keyed by
-    teacher index, not completion order); rounds are a sequential barrier.
+    Within a round the teacher queries are independent (a cell's column is
+    its teacher's place in `teachers`, not completion order); rounds are a
+    sequential barrier.
     The returned distributions and confidences are final-round values, so
     weights computed from them reflect post-deliberation certainty.
     """
@@ -257,7 +225,7 @@ def run_debate(teachers: list[Teacher], state: StateKey, rounds: int) -> DebateR
     grid = tuple(tuple(resp.utterance for resp in row) for row in history)
     final = history[-1]
     return DebateResult(
-        transcript=DebateTranscript(utterances=grid, state_ref=state),
+        transcript=DebateTranscript(grid, tuple(t.name for t in teachers), state),
         post_dists=tuple(resp.dist for resp in final),
         confidences=tuple(resp.utterance.confidence for resp in final),
     )
@@ -306,18 +274,17 @@ class TranscriptParseError(ValueError):
 def serialize_transcript(t: DebateTranscript) -> str:
     """Render the grid as a marker-delimited text block.
 
-    One line per cell in round-major order between the start/end markers:
-    round 1 cells are "Initial Answer", round 2 "Revised Answer", later
-    rounds "Round r Answer"; experts are lettered A, B, C, ... by index.
+    One line per cell in round-major order between the start/end markers.
+    A cell's row names its round: round 1 cells are "Initial Answer", round
+    2 "Revised Answer", later rounds "Round r Answer"; its column letters
+    its expert A, B, C, ... Teacher names do not enter the text.
     """
     lines = [_START]
-    for row in t.utterances:
-        for cell in row:
+    for r, row in enumerate(t.utterances, start=1):
+        for k, cell in enumerate(row):
             tokens = " ".join(str(tok) for tok in cell.content)
-            if not tokens:
-                raise ValueError("cannot serialize an empty utterance")
             lines.append(
-                f"[Expert {_expert_letter(cell.teacher.index)} {_round_word(cell.round)} "
+                f"[Expert {_expert_letter(k)} {_round_word(r)} "
                 f"Answer]: {tokens} | Confidence Score: {cell.confidence}"
             )
     lines.append(_END)
@@ -327,8 +294,8 @@ def serialize_transcript(t: DebateTranscript) -> str:
 def parse_transcript(text: str, state_ref: StateKey | None = None) -> DebateTranscript:
     """Inverse of serialize_transcript.
 
-    Recovers the grid, contents, and confidences exactly; teacher names are
-    canonicalized to "Expert <letter>". state_ref travels out of band.
+    Recovers the grid, contents, and confidences exactly; the names are
+    "Expert <letter>" by column. state_ref travels out of band.
     """
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0] != _START:
@@ -343,16 +310,12 @@ def parse_transcript(text: str, state_ref: StateKey | None = None) -> DebateTran
         idx = ord(m.group("letter")) - ord("A")
         word = m.group("round")
         r = 1 if word == "Initial" else 2 if word == "Revised" else int(word.split()[1])
-        content = tuple(int(tok) for tok in m.group("tokens").split())
-        utt = Utterance(
-            TeacherId(idx, f"Expert {m.group('letter')}"),
-            r,
-            content,
-            float(m.group("conf")),
-        )
+        if r < 1:
+            raise TranscriptParseError(ln, detail="rounds are 1-based")
         if (r, idx) in cells:
             raise TranscriptParseError(ln, detail="duplicate cell")
-        cells[(r, idx)] = utt
+        content = tuple(int(tok) for tok in m.group("tokens").split())
+        cells[(r, idx)] = Utterance(content, float(m.group("conf")))
     if not cells:
         raise TranscriptParseError("[Expert A Initial Answer]", detail="no cells")
     n_rounds = max(r for r, _ in cells)
@@ -367,21 +330,22 @@ def parse_transcript(text: str, state_ref: StateKey | None = None) -> DebateTran
                 )
             row.append(cells[(r, i)])
         grid.append(tuple(row))
-    return DebateTranscript(utterances=tuple(grid), state_ref=state_ref)
+    names = tuple(f"Expert {_expert_letter(i)}" for i in range(n_teachers))
+    return DebateTranscript(tuple(grid), names, state_ref)
 
 
 def transcript_to_jsonl(t: DebateTranscript) -> str:
-    """One utterance per line: teacher index/name, round, token ids, confidence."""
+    """One utterance per line: teacher column/name, round, token ids, confidence."""
     lines = []
-    for row in t.utterances:
-        for cell in row:
+    for r, row in enumerate(t.utterances, start=1):
+        for k, cell in enumerate(row):
             lines.append(
                 json.dumps(
                     {
                         "state": t.state_ref,
-                        "teacher": cell.teacher.index,
-                        "name": cell.teacher.name,
-                        "round": cell.round,
+                        "teacher": k,
+                        "name": t.names[k],
+                        "round": r,
                         "content": list(cell.content),
                         "confidence": cell.confidence,
                     }

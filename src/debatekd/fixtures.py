@@ -51,8 +51,9 @@ def _cycled_correct(world_states: int, n_tools: int, n_args: int) -> dict[int, A
 
 
 def complementary_fixture(revision_rate: float = 0.5) -> Fixture:
-    """Two teachers with complementary competence halves on a 2x2 world:
-    peaked 0.9 where competent, flattened to a 0.3 top mass elsewhere."""
+    """Two teachers with complementary competence halves on a 2x2 world
+    (expert-a on states 0-4, expert-b on 5-9): peaked 0.9 on the correct
+    action where competent, flattened to a 0.3 top mass elsewhere."""
     n_states, n_tools, n_args, peak_mass = 10, 2, 2, 0.9
     world = ToolWorld(
         n_states=n_states,
@@ -64,14 +65,13 @@ def complementary_fixture(revision_rate: float = 0.5) -> Fixture:
     vocab = world.joint_vocab
     temperature = temperature_for_peak(vocab, peak_mass, 0.3)
     half = n_states // 2
-    competence = {"expert-a": frozenset(range(half)), "expert-b": frozenset(range(half, n_states))}
 
     teachers = []
-    for index, name in enumerate(("expert-a", "expert-b")):
+    for name, competent in (("expert-a", range(half)), ("expert-b", range(half, n_states))):
         table = {}
         for s in range(n_states):
             correct_flat = world.flat_action(world.correct_action[s])
-            if s in competence[name]:
+            if s in competent:
                 table[s] = peaked_row(vocab, correct_flat, peak_mass)
             else:
                 wrong_flat = (correct_flat + vocab // 2 + 1) % vocab
@@ -79,12 +79,10 @@ def complementary_fixture(revision_rate: float = 0.5) -> Fixture:
         spec = MockTeacherSpec(
             name=name,
             base_table=table,
-            competence_set=competence[name],
-            peak_mass=peak_mass,
             revision_rate=revision_rate,
             action_shape=(n_tools, n_args),
         )
-        teachers.append(MockTeacher(index, spec))
+        teachers.append(MockTeacher(spec))
     return Fixture(world, tuple(teachers))
 
 
@@ -106,15 +104,12 @@ def privileged_gap_fixture(num_teachers: int = 1) -> Fixture:
     }
     teachers = tuple(
         MockTeacher(
-            k,
             MockTeacherSpec(
                 name=f"oracle-{k}",
                 base_table=table,
-                competence_set=frozenset(range(n_states)),
-                peak_mass=1.0 - gap,
                 revision_rate=0.0,
                 action_shape=(n_tools, n_args),
-            ),
+            )
         )
         for k in range(num_teachers)
     )
@@ -156,8 +151,6 @@ def two_strategy_fixture() -> Fixture:
         MockTeacherSpec(
             name="expert-x",
             base_table={s: joint_x for s in range(n_states)},
-            competence_set=frozenset(range(n_states)),
-            peak_mass=0.8,
             revision_rate=0.0,
             action_shape=(n_tools, n_args),
             confidence_override=c["x_confidence"],
@@ -165,15 +158,12 @@ def two_strategy_fixture() -> Fixture:
         MockTeacherSpec(
             name="expert-y",
             base_table={s: joint_y for s in range(n_states)},
-            competence_set=frozenset(range(n_states)),
-            peak_mass=0.55,
             revision_rate=0.0,
             action_shape=(n_tools, n_args),
             confidence_override=c["y_confidence"],
         ),
     ]
-    teachers = tuple(MockTeacher(i, spec) for i, spec in enumerate(specs))
-    return Fixture(world, teachers)
+    return Fixture(world, tuple(MockTeacher(spec) for spec in specs))
 
 
 FIXTURES = {

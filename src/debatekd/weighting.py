@@ -38,7 +38,7 @@ class ConfidenceScores:
             raise ValueError("confidence scores must be finite")
         if np.any(scores < 0) or np.any(scores > 100):
             raise ValueError(f"confidence scores must lie in [0, 100], got {scores}")
-        if self.tau_conf <= 0:
+        if not self.tau_conf > 0:
             raise ValueError(f"tau_conf must be positive, got {self.tau_conf}")
         scores = scores.copy()
         scores.flags.writeable = False
@@ -57,9 +57,9 @@ class TeacherWeights:
 
     def __post_init__(self):
         weights = np.atleast_1d(np.asarray(self.weights, dtype=np.float64))
-        if np.any(weights <= 0):
+        if not np.all(weights > 0):
             raise ValueError("every teacher weight must be strictly positive")
-        if abs(float(weights.sum()) - 1.0) > 1e-12:
+        if not abs(float(weights.sum()) - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {weights.sum()}, expected 1 within 1e-12")
         weights = weights.copy()
         weights.flags.writeable = False

@@ -9,7 +9,6 @@ from debatekd.debate import (
     DebateTranscript,
     MockTeacher,
     MockTeacherSpec,
-    TeacherId,
     TranscriptParseError,
     Utterance,
     flattened_row,
@@ -21,7 +20,12 @@ from debatekd.debate import (
     temperature_for_peak,
     transcript_to_jsonl,
 )
-from debatekd.fixtures import complementary_fixture, two_strategy_fixture
+from debatekd.fixtures import (
+    FIXTURES,
+    build_fixture,
+    complementary_fixture,
+    two_strategy_fixture,
+)
 from debatekd.simplex import Distribution
 
 
@@ -97,12 +101,10 @@ class TestMockTeacherSemantics:
         spec = MockTeacherSpec(
             name="t",
             base_table=table,
-            competence_set=frozenset({0}),
-            peak_mass=0.9,
             revision_rate=rate,
             action_shape=(2, 2),
         )
-        return MockTeacher(0, spec)
+        return MockTeacher(spec)
 
     def test_round_one_is_base_table(self):
         teacher = self.make_teacher()
@@ -150,23 +152,46 @@ class TestMockTeacherSemantics:
             resp = teacher.respond(0, [])
             assert resp.utterance.confidence == expected
 
-    def test_spec_validates_competence_peaks(self):
-        with pytest.raises(ValueError, match="competent"):
-            MockTeacherSpec(
-                name="bad",
-                base_table={0: peaked_row(4, 0, 0.6)},
-                competence_set=frozenset({0}),
-                peak_mass=0.9,
-                action_shape=(2, 2),
-            )
-        with pytest.raises(ValueError, match="incompetent"):
-            MockTeacherSpec(
-                name="bad",
-                base_table={0: peaked_row(4, 0, 0.9)},
-                competence_set=frozenset(),
-                peak_mass=0.9,
-                action_shape=(2, 2),
-            )
+
+# Per fixture and teacher count (None: the builder's default): each teacher's
+# competent states and the least mass its table puts on an accepted action
+# there. Every other state's top mass is at most 0.5.
+_COMPETENCE = {
+    ("complementary", None): {"expert-a": (range(5), 0.9), "expert-b": (range(5, 10), 0.9)},
+    ("privileged-gap", 1): {"oracle-0": (range(10), 1 - 1e-6)},
+    ("privileged-gap", 3): {f"oracle-{k}": (range(10), 1 - 1e-6) for k in range(3)},
+    ("two-strategy", None): {"expert-x": (range(10), 0.8), "expert-y": (range(10), 0.55)},
+}
+
+
+def _build(fixture, num_teachers):
+    kwargs = {} if num_teachers is None else {"num_teachers": num_teachers}
+    return build_fixture(fixture, **kwargs)
+
+
+class TestFixtureTables:
+    @pytest.mark.parametrize(
+        "fixture, num_teachers, name",
+        [(f, n, name) for (f, n), cases in _COMPETENCE.items() for name in cases],
+    )
+    def test_base_table_peaks_where_competent(self, fixture, num_teachers, name):
+        built = _build(fixture, num_teachers)
+        (teacher,) = [t for t in built.teachers if t.name == name]
+        competent, peak = _COMPETENCE[(fixture, num_teachers)][name]
+        world = built.world
+        for s in range(world.n_states):
+            probs = teacher.base_dist(s).probs
+            top = int(np.argmax(probs))
+            if s in competent:
+                assert world.unflatten(top) in world.accepted(s), s
+                assert probs[top] >= peak, s
+            else:
+                assert probs[top] <= 0.5, s
+
+    def test_every_fixture_teacher_has_a_case(self):
+        assert {f for f, _ in _COMPETENCE} == set(FIXTURES)
+        for (fixture, num_teachers), cases in _COMPETENCE.items():
+            assert [t.name for t in _build(fixture, num_teachers).teachers] == list(cases)
 
 
 class TestRunDebate:
@@ -253,15 +278,14 @@ class TestTwoFieldErrorCorrection:
         a_joint = Distribution(np.outer([0.48, 0.52], [0.95, 0.05]).ravel())
         b_joint = Distribution(np.outer([0.95, 0.05], [0.48, 0.52]).ravel())
         teachers = []
-        for i, (name, joint) in enumerate((("a", a_joint), ("b", b_joint))):
+        for name, joint in (("a", a_joint), ("b", b_joint)):
             spec = MockTeacherSpec(
                 name=name,
                 base_table={0: joint},
-                competence_set=frozenset(),
                 revision_rate=0.5,
                 action_shape=(2, 2),
             )
-            teachers.append(MockTeacher(i, spec))
+            teachers.append(MockTeacher(spec))
         return teachers
 
     def test_round_two_argmax_hits_ground_truth(self):
@@ -295,7 +319,7 @@ class TestTranscriptFormat:
 
     def test_no_cell_serializes_empty(self):
         with pytest.raises(ValueError):
-            Utterance(TeacherId(0, "Expert A"), 1, (), 50.0)
+            Utterance((), 50.0)
 
     def test_parse_names_missing_end_marker(self):
         with pytest.raises(TranscriptParseError, match="Debate End"):
@@ -334,18 +358,52 @@ class TestTranscriptFormat:
                     )
                 )
                 conf = round(data.draw(st.floats(min_value=0, max_value=100)), 2)
-                row.append(
-                    Utterance(TeacherId(k, f"Expert {chr(65 + k)}"), r, content, conf)
-                )
+                row.append(Utterance(content, conf))
             grid.append(tuple(row))
-        transcript = DebateTranscript(utterances=tuple(grid), state_ref="s")
+        # any names, repeats included: the text letters columns, not names
+        names = tuple(
+            data.draw(st.lists(st.text(max_size=5), min_size=n_teachers, max_size=n_teachers))
+        )
+        transcript = DebateTranscript(tuple(grid), names, state_ref="s")
         recovered = parse_transcript(serialize_transcript(transcript), state_ref="s")
-        assert recovered == transcript
+        assert recovered.utterances == transcript.utterances
+        assert recovered.names == tuple(f"Expert {chr(65 + k)}" for k in range(n_teachers))
+        assert parse_transcript(serialize_transcript(recovered), state_ref="s") == recovered
+
+    @pytest.mark.parametrize("order", [(1, 0, 1), (0, 0), (1, 0)])
+    def test_any_teacher_order_round_trips(self, order):
+        teachers = complementary_fixture().teachers
+        result = run_debate([teachers[i] for i in order], 7, rounds=2)
+        t = result.transcript
+        assert t.names == tuple(teachers[i].name for i in order)
+        recovered = parse_transcript(serialize_transcript(t))
+        assert recovered.utterances == t.utterances
+
+    def test_round_zero_is_rejected_naming_its_line(self):
+        line = "[Expert A Round 0 Answer]: 1 | Confidence Score: 5.0"
+        text = "\n".join(
+            [
+                "[Debate Start]",
+                "[Expert A Initial Answer]: 1 | Confidence Score: 5.0",
+                line,
+                "[Debate End]",
+            ]
+        )
+        with pytest.raises(TranscriptParseError, match=r"Round 0 Answer.*1-based"):
+            parse_transcript(text)
+
+    def test_grid_must_match_its_names(self):
+        cell = Utterance((0,), 50.0)
+        with pytest.raises(ValueError, match="no teachers"):
+            DebateTranscript(((),), ())
+        with pytest.raises(ValueError, match="round 2 has 1 cells, expected 2"):
+            DebateTranscript(((cell, cell), (cell,)), ("a", "b"))
+        with pytest.raises(ValueError, match="round 1 has 2 cells, expected 1"):
+            DebateTranscript(((cell, cell),), ("a",))
 
     def test_confidence_below_1e_4_round_trips(self):
         # repr writes such confidences in exponent form ("1e-05")
-        cell = Utterance(TeacherId(0, "Expert A"), 1, (0,), 1e-05)
-        transcript = DebateTranscript(utterances=((cell,),))
+        transcript = DebateTranscript(((Utterance((0,), 1e-05),),), ("Expert A",))
         assert parse_transcript(serialize_transcript(transcript)) == transcript
 
     @settings(suppress_health_check=[HealthCheck.too_slow])
@@ -381,12 +439,15 @@ class TestTranscriptFormat:
     def test_jsonl_export(self):
         import json
 
-        fixture = complementary_fixture()
-        result = run_debate(list(fixture.teachers), 1, rounds=2)
-        lines = transcript_to_jsonl(result.transcript).splitlines()
-        assert len(lines) == 4
-        first = json.loads(lines[0])
-        assert set(first) == {"state", "teacher", "name", "round", "content", "confidence"}
+        a, b = complementary_fixture().teachers
+        result = run_debate([b, a, b], 1, rounds=2)
+        rows = [json.loads(ln) for ln in transcript_to_jsonl(result.transcript).splitlines()]
+        assert set(rows[0]) == {"state", "teacher", "name", "round", "content", "confidence"}
+        # each cell is named by its position, whatever the teacher order
+        names = ("expert-b", "expert-a", "expert-b")
+        assert [(r["round"], r["teacher"], r["name"]) for r in rows] == [
+            (r, k, name) for r in (1, 2) for k, name in enumerate(names)
+        ]
 
 
 class TestPrivilegeSeparation:

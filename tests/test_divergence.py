@@ -421,6 +421,21 @@ class TestBoundProbes:
         assert np.max(np.abs(g)).tobytes() == np.float64(report.max_inf_norm).tobytes()
         assert {report.witness_loss["vocab"], w["vocab"]} <= set(vocab_sizes)
 
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7])
+    def test_point_mass_value_does_not_depend_on_vocab(self, beta):
+        # why the probe scores the point-mass pair at its first vocabulary only
+        values = {
+            batch(jsd_kind(beta), np.eye(2, v)[:1], np.eye(2, v)[1:], grad=False)[0][0].tobytes()
+            for v in range(2, 65)
+        }
+        assert len(values) == 1
+        (value,) = np.frombuffer(values.pop())
+        report = jsd_bound_probe(4, [5, 2, 9], RngSeed(0).stream("probes"), beta=beta)
+        assert report.max_loss >= value  # a near-disjoint pair may round an ulp above
+        if report.max_loss == value:
+            pm = np.eye(2, 5).tolist()
+            assert report.witness_loss == {"vocab": 5, "p": pm[0], "q": pm[1]}
+
     def test_one_block_at_a_time(self):
         tracemalloc.start()
         try:

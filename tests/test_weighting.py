@@ -62,6 +62,12 @@ class TestConfidenceToWeights:
         with pytest.raises(ValueError):
             ConfidenceScores(np.array([50.0]), tau_conf=0.0)
 
+    def test_nan_temperature_rejected(self):
+        # NaN fails every comparison, so `tau_conf <= 0` let it through and
+        # the weights came out NaN
+        with pytest.raises(ValueError, match="tau_conf"):
+            ConfidenceScores(np.array([50.0, 60.0]), tau_conf=np.nan)
+
 
 class TestTeacherWeights:
     def test_invariants(self):
@@ -69,6 +75,11 @@ class TestTeacherWeights:
             TeacherWeights(np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             TeacherWeights(np.array([0.6, 0.6]))
+
+    @pytest.mark.parametrize("weights", [[np.nan], [1.0, np.nan], [np.nan, np.nan], [np.inf]])
+    def test_non_finite_weights_rejected(self, weights):
+        with pytest.raises(ValueError):
+            TeacherWeights(np.array(weights))
 
     def test_uniform_constructor(self):
         w = TeacherWeights.uniform(4)
