@@ -135,8 +135,9 @@ class MockTeacherSpec:
     teacher is competent it peaks on a correct action, elsewhere it is
     flattened, e.g. by flattened_row (the fixture tests check each table).
     action_shape is (n_tools, n_args): a flat table index decodes to the
-    (tool, arg) pair an utterance carries. revision_rate is the
-    geometric-pooling rate lambda; 0 disables revision entirely.
+    (tool, arg) pair an utterance carries, so every row holds n_tools *
+    n_args entries. revision_rate is the geometric-pooling rate lambda; 0
+    disables revision entirely.
     confidence_override, when set, replaces the top-probability self-report
     with a fixed value (miscalibrated-confidence experiments).
     """
@@ -150,6 +151,13 @@ class MockTeacherSpec:
     def __post_init__(self):
         if not 0 <= self.revision_rate <= 1:
             raise ValueError(f"revision_rate must lie in [0, 1], got {self.revision_rate}")
+        n_tools, n_args = self.action_shape
+        for state, row in self.base_table.items():
+            if row.vocab_size != n_tools * n_args:
+                raise ValueError(
+                    f"teacher {self.name!r}: the row for state {state!r} has {row.vocab_size} "
+                    f"entries, expected n_tools * n_args = {n_tools * n_args}"
+                )
 
 
 def geometric_pool(
@@ -314,8 +322,11 @@ def parse_transcript(text: str, state_ref: StateKey | None = None) -> DebateTran
             raise TranscriptParseError(ln, detail="rounds are 1-based")
         if (r, idx) in cells:
             raise TranscriptParseError(ln, detail="duplicate cell")
+        confidence = float(m.group("conf"))
+        if not 0 <= confidence <= 100:
+            raise TranscriptParseError(ln, detail=f"confidence must lie in [0, 100], got {confidence}")
         content = tuple(int(tok) for tok in m.group("tokens").split())
-        cells[(r, idx)] = Utterance(content, float(m.group("conf")))
+        cells[(r, idx)] = Utterance(content, confidence)
     if not cells:
         raise TranscriptParseError("[Expert A Initial Answer]", detail="no cells")
     n_rounds = max(r for r, _ in cells)

@@ -6,10 +6,13 @@ free parameters, mean and log-width) descends each divergence on its exact
 gradient: its bin masses are m_i = Phi(z_{i+1}) - Phi(z_i) and it is
 q = softmax(log m), so the kernel's logit gradient g chains to a parameter
 as sum_i g_i (dm_i/dtheta) / m_i, a bin whose mass underflowed to 0 adding
-nothing. Under reverse KL the restricted student concentrates on the
-dominant component with terminal cost -log(alpha_dominant); under forward
-KL it spreads over every component; JSD lands in between, giving the strict
-secondary-mass ordering rev < jsd < fwd.
+nothing. Phi comes from one numpy kernel over the block of standardised
+edges (the Cephes erf/erfc rational forms as one matmul), whose
+exp(-z^2/2) also gives dm_i/dtheta. Under reverse KL the restricted
+student concentrates on the dominant component with terminal cost
+-log(alpha_dominant); under forward KL it spreads over every component;
+JSD lands in between, giving the strict secondary-mass ordering
+rev < jsd < fwd.
 
 An unconstrained tabular control arm (exact closed-form logit gradients,
 one logit per bin) is also provided: with full capacity every divergence
@@ -23,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .divergence import FORWARD_KL, REVERSE_KL, DivergenceKind, batch, divergence_value, jsd_kind
 from .simplex import (
@@ -63,24 +65,94 @@ class Grid:
         return 0.5 * (edges[:-1] + edges[1:])
 
 
-def _binned_gaussian(edges: np.ndarray, mean, width) -> np.ndarray:
-    """Bin masses of N(mean, width^2) between consecutive edges via CDF
-    differences; (R, 1) columns of means and widths give one row each.
+_SQRT2 = math.sqrt(2.0)
 
-    The upper tail is computed through the survival function so masses stay
-    positive out to ~37 widths instead of collapsing to exact zero where
-    ndtr saturates at 1. ndtr(-|z|) is ndtr(z) below the mean and ndtr(-z)
-    above it, so one evaluation serves both tails; only the bin whose upper
-    edge is the first at or above the mean also needs ndtr(z) there. Every
-    entry depends only on its own row, so a stacked call is bit-identical
-    to one call per row.
+#: Cephes ndtr.c rational approximations (S. L. Moshier), highest power
+#: first: erf(a) = a T(a^2) / U(a^2) for a < 1, and erfc(a) = exp(-a^2) P(a)
+#: / Q(a) for 1 <= a < 8, exp(-a^2) R(a) / S(a) beyond.
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+
+
+def _in_powers(coeffs: tuple[float, ...], step: int = 1, shift: int = 0) -> np.ndarray:
+    """Coefficients of a^0..a^10 of the polynomial a^shift C(a^step)."""
+    row = np.zeros(11)
+    row[shift : shift + step * len(coeffs) : step] = coeffs[::-1]
+    return row
+
+
+#: Numerator and denominator rows of the three ranges in powers of
+#: t = sqrt(2) a, the numerators halved so that each ratio is half of erf
+#: or of exp(a^2) erfc.
+_RATIONAL = np.stack([
+    _in_powers(_T, 2, 1) / 2, _in_powers(_U, 2),
+    _in_powers(_P) / 2, _in_powers(_Q),
+    _in_powers(_R) / 2, _in_powers(_S),
+]) * math.sqrt(0.5) ** np.arange(11)
+
+#: exp(-t^2 / 2) underflows to 0 past t = 38.6, so t capped here reads the
+#: same and keeps t^10 finite.
+_T_CAP = 40.0
+
+
+def _normal_tail(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lower tail ndtr(-|z|) and exp(-z^2 / 2), entrywise.
+
+    The tail is erfc(|z| / sqrt(2)) / 2 from the Cephes rational forms, the
+    six polynomials evaluated at once as one (6, 11) matmul on the powers of
+    |z|; exp(-z^2 / 2) is the factor the erfc forms share. Its relative
+    error is within 1e-15 (1 + z^2) wherever the tail is a normal double
+    (|z| <= 37); it stays positive until it underflows near |z| = 38. Every
+    entry depends only on its own z: the matmul reduces each column in the
+    same order whatever the column count.
+    """
+    powers = np.empty((11, z.size))
+    t = np.minimum(np.abs(z).reshape(-1), _T_CAP, out=powers[1])
+    powers[0] = 1.0
+    np.multiply(t, t, out=powers[2])
+    np.multiply(powers[1:3], powers[2], out=powers[3:5])
+    np.multiply(powers[1:5], powers[4], out=powers[5:9])
+    np.multiply(powers[1:3], powers[8], out=powers[9:11])
+    gauss = np.exp(-0.5 * powers[2])
+    terms = _RATIONAL @ powers
+    half = terms[0::2] / terms[1::2]
+    tail = np.where(t < _SQRT2, 0.5 - half[0], gauss * np.where(t < 8 * _SQRT2, half[1], half[2]))
+    return tail.reshape(z.shape), gauss.reshape(z.shape)
+
+
+def _bin_masses(z: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Bin masses between consecutive standardised edges z (ascending along
+    the last axis) from their tails ndtr(-|z|): the difference of the two
+    tails on one side of the mean, and 1 minus their sum for the bin that
+    holds it, so no mass is a difference of CDFs near 1."""
+    signed = np.copysign(tail, z)
+    below = np.signbit(z)
+    return (signed[..., :-1] - signed[..., 1:]) + (below[..., :-1] > below[..., 1:])
+
+
+def _binned_gaussian(edges: np.ndarray, mean, width) -> np.ndarray:
+    """Bin masses of N(mean, width^2) between consecutive edges; (R, 1)
+    columns of means and widths give one row each, and a stacked call is
+    bit-identical to one call per row.
+
+    Both tails are read as lower tails (_normal_tail), so masses stay
+    positive out to ~38 widths on either side of the mean instead of
+    collapsing to exact zero where a CDF rounds to 1.
     """
     z = (edges - mean) / width
-    tail = ndtr(-np.abs(z))
-    lower = np.diff(tail)
-    cross = (z[..., :-1] < 0) & (z[..., 1:] >= 0)
-    lower[cross] = ndtr(z[..., 1:][cross]) - tail[..., :-1][cross]
-    return np.where(z[..., :-1] >= 0, -np.diff(tail), lower)
+    return _bin_masses(z, _normal_tail(z)[0])
 
 
 @dataclass(frozen=True)
@@ -215,8 +287,8 @@ def _costs_and_gradients(
     """Cost under kinds[r] of the student x[r] = (mean, log_width) against
     the teacher row P, and its exact gradient in x[r], for every row r.
 
-    One _binned_gaussian call and one validate_probs cover the block, then
-    one kernel call per row; rows never mix, so each row is bit-identical
+    One _normal_tail call and one validate_probs cover the block, then one
+    divergence call per row; rows never mix, so each row is bit-identical
     to a block of its own. An invalid student raises RestrictedStudent's
     ValueError.
     """
@@ -225,22 +297,29 @@ def _costs_and_gradients(
     mean = x[:, :1]
     with np.errstate(over="ignore"):
         width = np.exp(x[:, 1:])
-    mass = _binned_gaussian(edges, mean, width)
+    z = (edges - mean) / width
+    tail, gauss = _normal_tail(z)
+    mass = _bin_masses(z, tail)
     totals = mass.sum(axis=-1, keepdims=True)
     if not (totals > 0).all():
         raise ValueError("student has no mass on the grid")
     Q = mass / totals
     validate_probs(Q)
-    # dm_i / d(mean, log_width): differences of phi / width and z * phi at the bin edges
-    z = (edges - mean) / width
-    phi = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-    d = np.stack((phi / width, z * phi), axis=1)
-    dmass = d[..., :-1] - d[..., 1:]
-    dlog = np.divide(dmass, mass[:, None], out=np.zeros_like(dmass), where=mass[:, None] > 0)
-    values, grads = np.empty(len(x)), np.empty((len(x), 2))
+    # dm_i / d(mean, log_width), up to the factors 1 / (sqrt(2 pi) width) and
+    # 1 / sqrt(2 pi) applied to the sums: differences of exp(-z^2/2) and of
+    # z exp(-z^2/2) at the bin edges
+    edge_terms = np.empty((len(x), 2, z.shape[-1]))
+    edge_terms[:, 0] = gauss
+    np.multiply(z, gauss, out=edge_terms[:, 1])
+    dmass = edge_terms[..., :-1] - edge_terms[..., 1:]
+    dlog = dmass / np.where(mass > 0, mass, math.inf)[:, None]  # 0 where mass underflowed
+    values, G = np.empty(len(x)), np.empty_like(Q)
     for r, kind in enumerate(kinds):
         value, g = batch(kind, P, Q[r : r + 1])
-        values[r], grads[r] = value[0], dlog[r] @ g[0]
+        values[r], G[r] = value[0], g[0]
+    grads = (dlog @ G[..., None])[..., 0]
+    grads *= _INV_SQRT_2PI
+    grads[:, 0] /= width[:, 0]
     return values, grads
 
 
@@ -261,6 +340,7 @@ def _descend(
     start = np.array([init.mean, init.log_width])
     params = np.tile(start, (len(kinds), 1))
     attempts = [0] * len(kinds)
+    step_sizes = np.tile(lr * _PRECONDITIONER, (len(kinds), 1))
     costs: list[list[float]] = [[] for _ in kinds]
     traces: list[list[np.ndarray]] = [[] for _ in kinds]
     results: dict[int, FitResult] = {}
@@ -268,7 +348,10 @@ def _descend(
         live = [r for r in range(len(kinds)) if r not in results]
         x = params[live]
         values, grads = _costs_and_gradients([kinds[r] for r in live], P, edges, x)
-        for r, row, cost, grad in zip(live, x, values.tolist(), grads):
+        # every live row steps; a row that finishes or restarts discards its step
+        params[live] = x - step_sizes[live] * grads
+        for r, row, cost, steady in zip(live, x, values.tolist(),
+                                        np.isfinite(grads).all(axis=1).tolist()):
             if math.isfinite(cost):
                 costs[r].append(cost)
                 traces[r].append(row)
@@ -278,12 +361,12 @@ def _descend(
                     results[r] = FitResult(student, np.asarray(costs[r]),
                                            mode_masses(q, teacher), np.asarray(traces[r]))
                     continue
-                if np.isfinite(grad).all():
-                    params[r] = row - lr / 2 ** attempts[r] * _PRECONDITIONER * grad
+                if steady:
                     continue
             attempts[r] += 1
             if attempts[r] == 6:
                 raise ModeFitError(costs[r] or [cost])
+            step_sizes[r] = lr / 2 ** attempts[r] * _PRECONDITIONER
             params[r], costs[r], traces[r] = start, [], []
     return [results[r] for r in range(len(kinds))]
 

@@ -123,6 +123,12 @@ class TestMockTeacherSemantics:
         with pytest.raises(ValueError, match="state"):
             self.make_teacher().respond(99, [])
 
+    def test_row_outside_the_action_shape_rejected(self):
+        # a 9-entry row under a 2 x 2 action shape would decode its argmax
+        # 8 to the action (4, 0), a tool the shape does not have
+        with pytest.raises(ValueError, match=r"state 0 has 9 entries, expected n_tools \* n_args = 4"):
+            MockTeacherSpec("x", {0: peaked_row(9, 8, 0.9)}, (2, 2))
+
     def test_revision_matches_brute_force_pool(self):
         fixture = complementary_fixture()
         a, b = fixture.teachers
@@ -379,6 +385,11 @@ class TestTranscriptFormat:
         recovered = parse_transcript(serialize_transcript(t))
         assert recovered.utterances == t.utterances
 
+    def test_out_of_range_confidence_is_rejected_naming_its_line(self):
+        line = "[Expert A Initial Answer]: 1 | Confidence Score: 100.01"
+        with pytest.raises(TranscriptParseError, match=r"Initial Answer.*100\.01.*\[0, 100\]"):
+            parse_transcript("\n".join(["[Debate Start]", line, "[Debate End]"]))
+
     def test_round_zero_is_rejected_naming_its_line(self):
         line = "[Expert A Round 0 Answer]: 1 | Confidence Score: 5.0"
         text = "\n".join(
@@ -409,8 +420,8 @@ class TestTranscriptFormat:
     @settings(suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
     def test_parse_rejects_or_round_trips_adversarial_text(self, data):
-        """Malformed and adversarial blocks either raise ValueError or parse
-        into a transcript that survives serialize -> parse unchanged.
+        """Malformed and adversarial blocks either raise TranscriptParseError
+        or parse into a transcript that survives serialize -> parse unchanged.
 
         A well-formed K x R grid with adversarial values (huge integers,
         confidences above 100 or below 1e-4, Round 0) is mangled by random
@@ -432,7 +443,7 @@ class TestTranscriptFormat:
         text = "\n".join(["[Debate Start]", *lines, "[Debate End]"])
         try:
             transcript = parse_transcript(text)
-        except ValueError:
+        except TranscriptParseError:
             return
         assert parse_transcript(serialize_transcript(transcript)) == transcript
 

@@ -316,8 +316,8 @@ ARTIFACT_DIGESTS = {
     "modes": (
         {"experiment": "modes"},
         {
-            "metrics.csv": "981a7acd3b716d085633d713a62fcfa606dc88f9d518e9d31d46e902cc8e43b5",
-            "modes_report.json": "84d9a68263f48ce73791fe3becfa86762f45da9b2838773c5b2fd7f5ecbe917f",
+            "metrics.csv": "04f1e587e27bc35ce9e9097c936df988ab6abe0b5b35b2f3d6e861f0d69f0487",
+            "modes_report.json": "f36e80166e099921637204dfadba9d499a34164573674e0f61c5723ba9371025",
         },
     ),
     "debate-demo": (

@@ -1,5 +1,10 @@
 import math
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
+import mp_reference
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +25,9 @@ from debatekd.modes import (
     Grid,
     ModeFitError,
     RestrictedStudent,
+    _binned_gaussian,
     _costs_and_gradients,
+    _normal_tail,
     coverage_ordering,
     fit,
     fit_unconstrained,
@@ -129,6 +136,102 @@ class TestBinnedMixture:
         grid = Grid(lo=-10, hi=10)
         with pytest.raises(ValueError):
             BinnedMixture(np.array([0.7, 0.4]), np.array([-4.0, 4.0]), 1.0, grid)
+
+
+#: The smallest normal double: below it a relative bound says nothing.
+_TINY = np.finfo(float).tiny
+#: The switch points of the Cephes forms, |z| = sqrt(2) and 8 sqrt(2).
+_SEAMS = (math.sqrt(2.0), 8.0 * math.sqrt(2.0))
+
+
+def _around(x: float, ulps: int) -> list[float]:
+    """x and its `ulps` neighbouring doubles on either side."""
+    out, lo, hi = [x], x, x
+    for _ in range(ulps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+class TestNormalTail:
+    """The numpy normal-tail kernel against the 60-digit reference."""
+
+    def test_tail_and_gauss_match_reference(self):
+        rng = np.random.default_rng(11)
+        z = np.concatenate([
+            np.linspace(-37.0, 37.0, 1481),
+            rng.uniform(-37.0, 37.0, 1000),
+            [v * sign for seam in _SEAMS for v in _around(seam, 8) for sign in (1, -1)],
+            [0.0, -0.0, 1e-300, -5e-324],
+        ])
+        tail, gauss = _normal_tail(z)
+        ref_tail = np.array([mp_reference.ncdf(-abs(v)) for v in z])
+        ref_gauss = np.array([mp_reference.gauss(v) for v in z])
+        assert (ref_tail >= _TINY).all() and (ref_gauss >= _TINY).all()
+        # relative error in units of 1e-15 (1 + z^2): rounding of z^2 in
+        # exp(-z^2 / 2) alone contributes about eps z^2 / 2
+        scale = 1e-15 * (1.0 + z * z)
+        assert np.max(np.abs(tail - ref_tail) / (ref_tail * scale)) <= 1.0
+        assert np.max(np.abs(gauss - ref_gauss) / (ref_gauss * scale)) <= 1.0
+
+    def test_tail_is_monotone_bounded_and_quiet(self):
+        z = np.linspace(0.0, 40.0, 40_001)
+        far = np.array([38.0, 38.6, 39.0, 45.0, 1e3, 1e30, 1e300, np.finfo(float).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tail, _ = _normal_tail(z)
+            far_tail, far_gauss = _normal_tail(np.concatenate([far, -far]))
+        # a step of 1e-3 in z moves the tail far more than its rounding error
+        assert (np.diff(tail) <= 0).all()
+        assert tail[0] == 0.5 and tail.min() >= 0.0 and tail[-1] == 0.0
+        assert np.isfinite(far_tail).all() and (far_tail >= 0).all() and (far_tail < _TINY).all()
+        assert (far_gauss >= 0).all() and (far_gauss < _TINY).all()
+
+    @pytest.mark.parametrize(
+        "mean, width",
+        [(0.3, 1.0), (0.0, 0.37), (5.5, 3.0), (-13.9, 0.05), (13.99, 20.0), (-2.0, 0.11)],
+    )
+    def test_bin_masses_match_reference(self, mean, width):
+        """Every bin within 37 widths, the one holding the mean too: it is 1
+        minus the two tails, an upper CDF minus a lower tail."""
+        edges = Grid(-14.0, 14.0).edges
+        z = (edges - mean) / width
+        mass = _binned_gaussian(edges, mean, width)
+        crossing = int(np.flatnonzero((z[:-1] < 0) & (z[1:] >= 0))[0])
+        lo, hi = z[:-1], z[1:]
+        kept = np.flatnonzero(np.maximum(np.abs(lo), np.abs(hi)) <= 37.0)
+        assert crossing in kept
+        for i in kept:
+            ref = mp_reference.normal_mass(lo[i], hi[i])
+            tails = [mp_reference.ncdf(-abs(v)) * (1.0 + v * v) for v in (lo[i], hi[i])]
+            assert abs(mass[i] - ref) <= 1e-15 * (sum(tails) + ref), (i, mass[i], ref)
+
+    def test_stacked_rows_equal_single_rows_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        edges = Grid(-14.0, 14.0).edges
+        for rows in (2, 3, 7, 32):
+            means = rng.uniform(-20.0, 20.0, (rows, 1))
+            widths = np.exp(rng.uniform(math.log(0.05), math.log(20.0), (rows, 1)))
+            block = _binned_gaussian(edges, means, widths)
+            tail, gauss = _normal_tail((edges - means) / widths)
+            for r in range(rows):
+                single = _binned_gaussian(edges, float(means[r, 0]), float(widths[r, 0]))
+                assert block[r].tobytes() == single.tobytes()
+                one_tail, one_gauss = _normal_tail((edges - means[r]) / widths[r])
+                assert tail[r].tobytes() == one_tail.tobytes()
+                assert gauss[r].tobytes() == one_gauss.tobytes()
+
+
+def test_library_imports_without_scipy():
+    import debatekd
+
+    src = str(Path(debatekd.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import debatekd, debatekd.modes, debatekd.harness, debatekd.cli\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    subprocess.run([sys.executable, "-I", "-c", code], check=True, timeout=120)
 
 
 class TestRestrictedFit:
