@@ -197,11 +197,12 @@ class MockTeacher(Teacher):
         if prior_rounds:
             prev = [resp.dist for resp in prior_rounds[-1]]
             dist = geometric_pool(dist, prev, self.spec.revision_rate)
+        top = int(dist.probs.argmax())
         if self.spec.confidence_override is not None:
             confidence = float(self.spec.confidence_override)
         else:
-            confidence = round(100.0 * float(dist.probs.max()), 2)
-        content = divmod(int(np.argmax(dist.probs)), self.spec.action_shape[1])
+            confidence = round(100.0 * float(dist.probs[top]), 2)
+        content = divmod(top, self.spec.action_shape[1])
         return TeacherResponse(dist=dist, utterance=Utterance(content, confidence))
 
 

@@ -112,14 +112,22 @@ def _inf_norms(g: np.ndarray) -> np.ndarray:
         return np.max(np.abs(g), axis=-1)
 
 
-def _log_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _log_ratio(a: np.ndarray, b: np.ndarray, mixture: bool = False) -> np.ndarray:
     """Entrywise log(a / b): 0 where a is 0, +inf where a positive a meets a
-    null b, and log a - log b where a / b overflows (a denormal b)."""
+    null b, and log a - log b where a / b overflows (a denormal b).
+
+    With mixture, b is a mixture with a positive weight on a, so a null b
+    beside a positive a is a mixture that underflowed to 0 (a is then at
+    most 2^-1075 over its weight): its log ratio is bounded by the log of
+    that weight and is taken as 0, which moves a's term by less than 1e-300.
+    """
     ratio = np.where(a > 0, a / b, 1.0)
     out = np.log(ratio)
     if ratio.max(initial=0.0) == math.inf:
         over = (ratio == math.inf) & (b > 0)
         out[over] = np.log(a[over]) - np.log(b[over])
+        if mixture:
+            out[b == 0] = 0.0
     return out
 
 
@@ -170,8 +178,9 @@ def batch(
 
         beta = kind.beta
         m = beta * P + (1 - beta) * Q
-        ell = _log_ratio(Q, m)
-        values = beta * _kl_rows(P, _log_ratio(P, m)) + (1 - beta) * _kl_rows(Q, ell)
+        ell = _log_ratio(Q, m, mixture=True)
+        values = beta * _kl_rows(P, _log_ratio(P, m, mixture=True))
+        values += (1 - beta) * _kl_rows(Q, ell)
         # identity holds exactly; the mixture would round otherwise
         values[(P == Q).all(axis=-1)] = 0.0
         return values, ((1 - beta) * _centred(Q, ell) if grad else None)
@@ -190,7 +199,7 @@ def logit_gradient(kind: DivergenceKind, p: Distribution, z: LogitVector) -> Gra
     """Closed-form gradient of divergence(p, softmax(z)) in the logits z;
     see `batch` for the per-kind forms."""
     values, g = batch(kind, p.probs[None], softmax_rows(z.logits[None]))
-    return GradientReport(float(values[0]), g[0], float(_inf_norms(g)[0]))
+    return GradientReport(float(values[0]), g[0], float(np.abs(g).max()))
 
 
 def finite_difference_gradient(

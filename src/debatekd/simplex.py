@@ -30,13 +30,12 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
+        probs = np.array(self.probs, dtype=np.float64)
         if probs.ndim != 1:
             raise ValueError(f"probs must be 1-d, got shape {probs.shape}")
         if probs.size < 2:
             raise ValueError(f"vocab_size must be >= 2, got {probs.size}")
         validate_probs(probs)
-        probs = probs.copy()
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
 
@@ -71,13 +70,12 @@ class LogitVector:
     logits: np.ndarray
 
     def __post_init__(self):
-        logits = np.asarray(self.logits, dtype=np.float64)
+        logits = np.array(self.logits, dtype=np.float64)
         if logits.ndim != 1:
             raise ValueError(f"logits must be 1-d, got shape {logits.shape}")
         if logits.size < 2:
             raise ValueError(f"vocab_size must be >= 2, got {logits.size}")
         validate_logits(logits)
-        logits = logits.copy()
         logits.flags.writeable = False
         object.__setattr__(self, "logits", logits)
 
@@ -88,7 +86,15 @@ class LogitVector:
 
 def validate_probs(probs: np.ndarray) -> None:
     """Raise ValueError unless every row (last axis) lies on the simplex:
-    finite, non-negative entries summing to 1 within 1e-9."""
+    finite, non-negative entries summing to 1 within 1e-9.
+
+    Valid input passes one check, of the minimum and the row sums (a NaN or
+    -inf fails the minimum, a +inf its row sum, before any arithmetic could
+    warn on it). Only input that fails it meets the entrywise checks, which
+    word the error: non-finite, then negative, then the first bad row sum.
+    """
+    if probs.min(initial=0.0) >= 0 and (abs(probs.sum(axis=-1) - 1.0) <= _PROB_SUM_TOL).all():
+        return
     if not np.isfinite(probs).all():
         raise ValueError("probs contain non-finite entries")
     if (probs < 0).any():
@@ -102,7 +108,16 @@ def validate_probs(probs: np.ndarray) -> None:
 
 def validate_logits(logits: np.ndarray) -> None:
     """Raise ValueError unless every row (last axis) is finite with a spread
-    small enough that its softmax stays strictly positive."""
+    small enough that its softmax stays strictly positive.
+
+    Valid input passes one check: the spread over all its entries (for one
+    row, the row spread), taken in Python floats so that a NaN or an
+    infinite entry fails it without a warning. Only input that fails it
+    meets the row-wise checks, which word the error (non-finite, then the
+    largest row spread) or accept stacked rows that sit far apart.
+    """
+    if float(logits.max()) - float(logits.min()) <= _MAX_LOGIT_SPREAD:
+        return
     if not np.isfinite(logits).all():
         raise ValueError("logits contain non-finite entries")
     spread = float((logits.max(axis=-1) - logits.min(axis=-1)).max())
@@ -138,9 +153,27 @@ def entropy(p: Distribution) -> float:
     return float(-xlogx(p.probs).sum())
 
 
-def sample(p: Distribution, rng: np.random.Generator, size: int | None = None):
-    """Draw token id(s) from p. Deterministic given the generator state."""
-    return rng.choice(p.vocab_size, size=size, p=p.probs / p.probs.sum())
+def draw(probs: np.ndarray, rng: np.random.Generator, size: int | tuple | None = None):
+    """Inverse-CDF draw(s) of token ids from the probability vector probs;
+    unvalidated.
+
+    The same draws, and the same generator state afterwards, as
+    rng.choice(probs.size, size=size, p=probs): the cumulative sum divided
+    by its last entry, searched (side="right") for rng.random(size), so a
+    zero entry is never drawn. An int for size None, else an int64 array of
+    that shape; choice's argument checks are left to the caller.
+    """
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    idx = cdf.searchsorted(rng.random(size), side="right")
+    return int(idx) if size is None else idx
+
+
+def sample(p: Distribution, rng: np.random.Generator, size: int | tuple | None = None):
+    """Draw token id(s) from p by `draw` on p renormalised, which draws as
+    rng.choice(p.vocab_size, size=size, p=p.probs / p.probs.sum()) does.
+    Deterministic given the generator state."""
+    return draw(p.probs / p.probs.sum(), rng, size)
 
 
 def floor_rows(probs: np.ndarray, eps: float) -> np.ndarray:

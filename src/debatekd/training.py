@@ -16,8 +16,11 @@ Between the debate and the loss the step works on plain arrays: the K
 post-debate tables are stacked, the tool marginals and the arg rows of the
 sampled tool are taken by indexing and floored row-wise, and each target is
 wrapped in a validated Distribution once, because the divergence takes one.
-Sampling draws from unboxed softmax rows after the same logit check a
-LogitVector makes.
+Sampling checks each logit row as a LogitVector would, then draws from its
+unboxed softmax row with simplex.draw, which draws as Generator.choice does
+without choice's argument checks. Accuracy reads every state's rows at
+once, and the abort check every visited row; only a failed abort check
+scans the steps one by one, to name the step.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .simplex import (
     Distribution,
     LogitVector,
     RngSeed,
+    draw,
     floor_rows,
     softmax_rows,
     validate_logits,
@@ -131,17 +135,18 @@ class StudentPolicy:
         return LogitVector(self.arg_logits[state, tool])
 
     def sample_action(self, state: int, rng: np.random.Generator) -> Action:
-        """Draw the tool, then the arg under it, as simplex.sample would
-        from the softmax of each checked row."""
+        """Draw the tool, then the arg under it. Each row is checked as a
+        LogitVector would be, then simplex.draw on its renormalised softmax
+        gives the token, and the generator state, that simplex.sample on
+        softmax(LogitVector(row)) would."""
         row = self.tool_logits[state]
         validate_logits(row)
         q = softmax_rows(row)
-        tool = int(rng.choice(q.size, p=q / q.sum()))
+        tool = draw(q / q.sum(), rng)
         row = self.arg_logits[state, tool]
         validate_logits(row)
         q = softmax_rows(row)
-        arg = int(rng.choice(q.size, p=q / q.sum()))
-        return (tool, arg)
+        return (tool, draw(q / q.sum(), rng))
 
     def argmax_action(self, state: int) -> Action:
         tool = int(np.argmax(self.tool_logits[state]))
@@ -275,10 +280,16 @@ class TrainResult:
 def task_accuracy(policy: StudentPolicy, world: ToolWorld) -> float:
     """Fraction of states whose greedy (tool, arg) decode is accepted.
 
-    Argmax ties break toward the lowest token id.
+    Argmax ties break toward the lowest token id. Every state's tool and
+    then arg is one argmax over the stacked rows, as argmax_action takes
+    them one state at a time.
     """
+    n = world.n_states
+    tools = policy.tool_logits[:n].argmax(axis=1)
+    args = policy.arg_logits[np.arange(n), tools].argmax(axis=1)
     hits = sum(
-        1 for s in range(world.n_states) if policy.argmax_action(s) in world.accepted(s)
+        1 for s, action in enumerate(zip(tools.tolist(), args.tolist()))
+        if action in world.accepted(s)
     )
     return hits / world.n_states
 
@@ -287,14 +298,27 @@ def _first_unusable_step(
     policy: StudentPolicy, traj: tuple[tuple[int, Action], ...]
 ) -> int | None:
     """First step of traj whose tool or arg row the next iteration could not
-    softmax (simplex.validate_logits rejects it)."""
-    for m, (s, (tool, _)) in enumerate(traj):
+    softmax (simplex.validate_logits rejects it).
+
+    The visited tool rows and arg rows are checked as two stacks; only when
+    one fails are the steps scanned in order to name the first bad one.
+    """
+    states = [s for s, _ in traj]
+    tool_rows = policy.tool_logits[states]
+    arg_rows = policy.arg_logits[states, [tool for _, (tool, _) in traj]]
+    with np.errstate(over="ignore"):
         try:
-            with np.errstate(over="ignore"):
-                validate_logits(policy.tool_logits[s])
-                validate_logits(policy.arg_logits[s, tool])
+            validate_logits(tool_rows)
+            validate_logits(arg_rows)
+            return None
         except ValueError:
-            return m
+            pass
+        for m in range(len(traj)):
+            try:
+                validate_logits(tool_rows[m])
+                validate_logits(arg_rows[m])
+            except ValueError:
+                return m
     return None
 
 

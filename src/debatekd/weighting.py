@@ -31,16 +31,16 @@ class ConfidenceScores:
     tau_conf: float = 1.0
 
     def __post_init__(self):
-        scores = np.atleast_1d(np.asarray(self.scores, dtype=np.float64))
+        scores = np.array(self.scores, dtype=np.float64, ndmin=1)
         if scores.size < 1:
             raise ValueError("need at least one confidence score")
-        if not np.all(np.isfinite(scores)):
-            raise ValueError("confidence scores must be finite")
-        if np.any(scores < 0) or np.any(scores > 100):
+        # one range check passes valid scores; the failures are worded below
+        if not (scores.min() >= 0 and scores.max() <= 100):
+            if not np.all(np.isfinite(scores)):
+                raise ValueError("confidence scores must be finite")
             raise ValueError(f"confidence scores must lie in [0, 100], got {scores}")
         if not self.tau_conf > 0:
             raise ValueError(f"tau_conf must be positive, got {self.tau_conf}")
-        scores = scores.copy()
         scores.flags.writeable = False
         object.__setattr__(self, "scores", scores)
 
@@ -56,12 +56,11 @@ class TeacherWeights:
     weights: np.ndarray
 
     def __post_init__(self):
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=np.float64))
-        if not np.all(weights > 0):
+        weights = np.array(self.weights, dtype=np.float64, ndmin=1)
+        if not weights.min(initial=math.inf) > 0:
             raise ValueError("every teacher weight must be strictly positive")
         if not abs(float(weights.sum()) - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {weights.sum()}, expected 1 within 1e-12")
-        weights = weights.copy()
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
 
@@ -123,16 +122,16 @@ def multi_teacher_token_loss(
         if p.vocab_size != vocab:
             raise ValueError(f"teacher {idx} vocab {p.vocab_size} != student vocab {vocab}")
 
-    sub_losses = np.empty(k)
-    total = 0.0
-    grad = np.zeros(vocab)
-    for idx, p in enumerate(teacher_dists):
+    sub_losses = []
+    total = grad = 0.0
+    for wk, p in zip(w.weights.tolist(), teacher_dists):
         rep = logit_gradient(kind, p, student_z)
-        sub_losses[idx] = rep.value
-        total += w.weights[idx] * rep.value
-        grad = grad + w.weights[idx] * rep.logit_grad
-    with np.errstate(invalid="ignore"):
-        inf_norm = float(np.max(np.abs(grad)))
+        sub_losses.append(rep.value)
+        total += wk * rep.value
+        grad = grad + wk * rep.logit_grad
     return TokenLossReport(
-        value=float(total), logit_grad=grad, inf_norm=inf_norm, teacher_losses=sub_losses
+        value=total,
+        logit_grad=grad,
+        inf_norm=float(np.abs(grad).max()),
+        teacher_losses=np.array(sub_losses),
     )

@@ -3,8 +3,10 @@ import hashlib
 import inspect
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -426,3 +428,38 @@ class TestCli:
         assert err.startswith("config error: eps:")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestCrashRecovery:
+    def test_sigkilled_run_does_not_wedge_its_directory(self, tmp_path):
+        """A run killed with SIGKILL mid-run leaves its lock behind; the next
+        run into that directory reclaims it and writes what a clean run
+        writes. The kill waits until the lock names the child, since an
+        empty lock (the instant between creating it and writing the PID)
+        blocks by design."""
+        argv = ["run", "opad", "--seed", "3", "--iterations", "100"]
+        crashed, clean = tmp_path / "crashed", tmp_path / "clean"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "debatekd", *argv, "--out", str(crashed)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        lock = crashed / ".lock"
+        try:
+            deadline = time.monotonic() + 60
+            while not (lock.exists() and lock.read_text() == str(child.pid)):
+                assert child.poll() is None, "the run ended before its lock was seen"
+                assert time.monotonic() < deadline, "no lock within 60 s"
+                time.sleep(0.001)
+        finally:
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=60)
+        assert child.returncode == -signal.SIGKILL
+        assert lock.exists()
+
+        assert main([*argv, "--out", str(crashed)]) == EXIT_OK
+        assert not lock.exists()
+        assert main([*argv, "--out", str(clean)]) == EXIT_OK
+        assert (crashed / "metrics.csv").read_bytes() == (clean / "metrics.csv").read_bytes()

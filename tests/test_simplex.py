@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import validator_reference as reference
 from conftest import logit_vectors, probability_vectors
+from debatekd import simplex
 from debatekd.simplex import (
     Distribution,
     LogitVector,
@@ -12,6 +16,9 @@ from debatekd.simplex import (
     floor_and_renormalize,
     sample,
     softmax,
+    softmax_rows,
+    validate_logits,
+    validate_probs,
 )
 
 
@@ -178,3 +185,144 @@ class TestRngSeed:
             RngSeed(-1)
         with pytest.raises(ValueError):
             RngSeed(2**64)
+
+
+def outcome(validate, x):
+    """What a validator does with x under warnings-as-errors: None when it
+    accepts, else the type name and message of what it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            validate(x)
+        except (ValueError, RuntimeWarning) as exc:
+            return type(exc).__name__, str(exc)
+    return None
+
+
+#: Ways to spoil one row of a valid array; "huge" rows are finite but their
+#: row sum or spread overflows, where the oracle itself warns.
+PROB_FAULTS = ("none", "nan", "+inf", "-inf", "all +inf", "negative", "zero row",
+               "sum off", "huge")
+LOGIT_FAULTS = ("none", "nan", "+inf", "-inf", "all +inf", "all -inf", "spread",
+                "rows apart", "huge")
+
+
+@st.composite
+def faulty_arrays(draw, faults, valid_row):
+    """A 1-d array or a stack of 1-4 rows (|V| 1-8) of valid_row draws, one
+    row of which may carry one of faults; returns (fault, array)."""
+    rows, vocab = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    x = np.array([draw(valid_row(vocab)) for _ in range(rows)])
+    fault = draw(st.sampled_from(faults))
+    r, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, vocab - 1))
+    if fault == "nan":
+        x[r, j] = np.nan
+    elif fault in ("+inf", "-inf"):
+        x[r, j] = float(fault)
+    elif fault.startswith("all "):
+        x[r] = float(fault[4:])
+    elif fault == "negative":
+        x[r, j] = -draw(st.floats(5e-324, 1.0))
+    elif fault == "zero row":
+        x[r] = 0.0
+    elif fault == "sum off":
+        x[r] *= 1 + draw(st.sampled_from([-1, 1])) * 10 ** draw(st.floats(-10, -6))
+    elif fault == "spread":
+        x[r] = x[r, 0]
+        x[r, j] += draw(st.sampled_from([-1, 1])) * draw(st.floats(699, 701))
+    elif fault == "rows apart":
+        x[r] += draw(st.sampled_from([-1e4, 1e4]))
+    elif fault == "huge":
+        x[r] = draw(st.sampled_from([-1, 1])) * 1e308
+        x[r, j] = 1e308
+    return fault, x[r] if draw(st.booleans()) else x
+
+
+def valid_probs_row(vocab):
+    return probability_vectors(min_size=vocab, max_size=vocab, min_entry=0.0)
+
+
+def valid_logits_row(vocab):
+    return st.lists(st.floats(-30, 30), min_size=vocab, max_size=vocab)
+
+
+class TestValidatorsMatchTheOracle:
+    """validate_probs and validate_logits accept exactly what the entrywise
+    checks accept, raise the same message, and warn only where they do."""
+
+    @settings(max_examples=300)
+    @given(faulty_arrays(PROB_FAULTS, valid_probs_row))
+    def test_probs(self, case):
+        fault, x = case
+        ours = outcome(validate_probs, x)
+        assert ours == outcome(reference.validate_probs, x)
+        if fault != "huge":
+            assert ours is None or ours[0] == "ValueError"
+
+    @settings(max_examples=300)
+    @given(faulty_arrays(LOGIT_FAULTS, valid_logits_row))
+    def test_logits(self, case):
+        fault, x = case
+        ours = outcome(validate_logits, x)
+        assert ours == outcome(reference.validate_logits, x)
+        if fault != "huge":
+            assert ours is None or ours[0] == "ValueError"
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+    def test_empty_arrays(self, shape):
+        x = np.zeros(shape)
+        assert outcome(validate_probs, x) == outcome(reference.validate_probs, x)
+        assert outcome(validate_logits, x) == outcome(reference.validate_logits, x)
+
+    def test_an_all_inf_row_is_named_without_a_warning(self):
+        x = np.array([[0.0, 1.0], [np.inf, np.inf]])
+        assert outcome(validate_logits, x) == ("ValueError", "logits contain non-finite entries")
+        assert outcome(validate_probs, x) == ("ValueError", "probs contain non-finite entries")
+
+
+def assert_same_draws(ours, ref):
+    assert type(ours) is type(ref)
+    np.testing.assert_array_equal(ours, ref)
+    assert np.shape(ours) == np.shape(ref)
+
+
+SIZES = st.sampled_from([None, 5, (2, 3)])
+
+
+class TestDrawMatchesGeneratorChoice:
+    """simplex.draw gives Generator.choice's draws and leaves the generator
+    in the same state."""
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 64), st.floats(0, 700), SIZES)
+    def test_softmax_rows(self, seed, vocab, spread, size):
+        z = np.random.default_rng(seed).uniform(size=vocab)
+        z = spread * (z - z.min()) / (z.max() - z.min() or 1.0)
+        q = softmax_rows(z)
+        ours, ref = RngSeed(seed).stream("d"), RngSeed(seed).stream("d")
+        for _ in range(4):
+            assert_same_draws(simplex.draw(q, ours, size), ref.choice(vocab, size=size, p=q))
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 2**32 - 1), probability_vectors(max_size=64, min_entry=0.0), SIZES)
+    def test_distributions_with_zeros_through_sample(self, seed, probs, size):
+        probs = np.where(np.arange(probs.size) % 3 == 1, 0.0, probs)
+        assume(probs.sum() > 0)
+        p = Distribution(probs / probs.sum())
+        ours, ref = RngSeed(seed).stream("s"), RngSeed(seed).stream("s")
+        for _ in range(4):
+            got = sample(p, ours, size)
+            assert_same_draws(got, ref.choice(p.vocab_size, size=size, p=p.probs / p.probs.sum()))
+            assert np.all(p.probs[got] > 0)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_uniforms_on_the_cdf_steps_skip_zero_entries(self):
+        class Steps:
+            """Generator stand-in whose uniforms sit exactly on the cdf's steps."""
+
+            def random(self, size=None):
+                return np.array([0.0, 0.25, 0.75])
+
+        probs = np.array([0.0, 0.25, 0.0, 0.5, 0.25])  # cdf 0, .25, .25, .75, 1
+        np.testing.assert_array_equal(simplex.draw(probs, Steps(), 3), [1, 3, 4])

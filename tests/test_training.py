@@ -1,8 +1,10 @@
+import copy
 import hashlib
 
 import numpy as np
 import pytest
 
+import validator_reference as reference
 from debatekd.debate import run_debate
 from debatekd.divergence import FORWARD_KL, REVERSE_KL, jsd_kind, logit_gradient
 from debatekd.fixtures import (
@@ -16,6 +18,7 @@ from debatekd.training import (
     StudentPolicy,
     ToolWorld,
     TrainConfig,
+    _first_unusable_step,
     force_decode_targets,
     rollout,
     step_token_losses,
@@ -396,3 +399,83 @@ class TestTwoStrategySplice:
             and int(np.argmax(fwd.policy.arg_logits[s, 0])) == 1
         ]
         assert len(spliced_states) >= 1
+
+
+def reference_task_accuracy(policy, world):
+    """The per-state argmax_action loop that task_accuracy replaced."""
+    hits = sum(1 for s in range(world.n_states) if policy.argmax_action(s) in world.accepted(s))
+    return hits / world.n_states
+
+
+def reference_first_unusable_step(policy, traj):
+    """The per-step scan that _first_unusable_step runs only on failure."""
+    for m, (s, (tool, _)) in enumerate(traj):
+        try:
+            with np.errstate(over="ignore"):
+                reference.validate_logits(policy.tool_logits[s])
+                reference.validate_logits(policy.arg_logits[s, tool])
+        except ValueError:
+            return m
+    return None
+
+
+def tied_policy(world, rng):
+    """Logits drawn from {0, 1, 2}, so that argmax ties are common."""
+    return StudentPolicy(
+        tool_logits=rng.integers(0, 3, (world.n_states, world.n_tools)).astype(float),
+        arg_logits=rng.integers(0, 3, (world.n_states, world.n_tools, world.n_args)).astype(float),
+    )
+
+
+class TestArrayLevelChecksMatchTheirLoops:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_task_accuracy_on_tied_policies(self, seed):
+        rng = np.random.default_rng(seed)
+        for world in (simple_world(n_states=7, n_tools=3, n_args=2), two_strategy_fixture().world):
+            policy = tied_policy(world, rng)
+            assert task_accuracy(policy, world) == reference_task_accuracy(policy, world)
+
+    def test_task_accuracy_on_the_two_strategy_accepted_sets(self):
+        world = two_strategy_fixture().world
+        policy = StudentPolicy.uniform(world)
+        seen = set()
+        for tool in range(2):
+            for arg in range(2):
+                for s in range(0, world.n_states, 2):
+                    policy.tool_logits[s] = np.eye(2)[tool]
+                    policy.arg_logits[s, tool] = np.eye(2)[arg]
+                acc = task_accuracy(policy, world)
+                assert acc == reference_task_accuracy(policy, world)
+                seen.add(acc)
+        assert len(seen) == 2  # strategies X and Y score alike, splices do not
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "spread"])
+    @pytest.mark.parametrize("row", ["tool", "arg"])
+    @pytest.mark.parametrize("n_states, max_steps", [(6, 4), (3, 7)])
+    def test_first_unusable_step_names_each_planted_step(self, bad, row, n_states, max_steps):
+        world = simple_world(n_states=n_states, n_tools=3, n_args=4, max_steps=max_steps)
+        rng = np.random.default_rng(n_states)
+        healthy = StudentPolicy(
+            tool_logits=rng.normal(scale=4.0, size=(n_states, 3)),
+            arg_logits=rng.normal(scale=4.0, size=(n_states, 3, 4)),
+        )
+        traj = rollout(world, healthy, 1, RngSeed(0).stream("r"))
+        assert _first_unusable_step(healthy, traj) is None
+        for m, (s, (tool, _)) in enumerate(traj):
+            policy = copy.deepcopy(healthy)
+            target = policy.tool_logits[s] if row == "tool" else policy.arg_logits[s, tool]
+            k = m % target.size
+            target[k] = np.delete(target, k).min() + 701.0 if bad == "spread" else bad
+            got = _first_unusable_step(policy, traj)
+            assert got == reference_first_unusable_step(policy, traj)
+            assert got is not None and got <= m
+            assert traj[got][0] == s  # an earlier visit of the same state, or step m
+
+    def test_rows_far_apart_are_each_usable(self):
+        world = simple_world(n_states=4, max_steps=4)
+        policy = StudentPolicy.uniform(world)
+        policy.tool_logits += 1e4 * np.arange(4)[:, None]
+        policy.arg_logits -= 1e4 * np.arange(4)[:, None, None]
+        traj = rollout(world, policy, 0, RngSeed(0).stream("r"))
+        assert _first_unusable_step(policy, traj) is None
+        assert reference_first_unusable_step(policy, traj) is None
