@@ -9,15 +9,18 @@ mixture m cancel the +(1 - beta) of q log q. Everything else wraps `batch`:
 `divergence_value` and `logit_gradient` at the validated
 `Distribution`/`LogitVector` edge, a central-difference oracle over all 2V
 stencil rows in one call, and two probes. The JSD probe checks the loss and
-gradient ceilings: it splits its trials over the vocabularies, draws each
-vocabulary's share as one block of near-disjoint, random and spiked rows
-with vectorised draws, and scores the block as soon as it is drawn, keeping
-only the running maxima and their first witnesses (point-mass pairs first,
-then the blocks in vocabulary order), so it holds one block at a time. The
-reverse-KL probe shows the gradient blow-up as teacher mass vanishes on
-student-supported tokens. Row sums and row dot products reduce each row as
-the one-row numpy call would, so a stacked call is bit-identical to one
-call per row.
+gradient ceilings: it splits its trials over the vocabularies and cuts the
+shares, in vocabulary order, into chunks of a fixed number of padded
+entries (a large share fills single-vocabulary chunks, consecutive small
+shares share one, zero-padded to its widest row). It draws each chunk's
+near-disjoint, random and spiked rows with vectorised draws and scores the
+chunk as soon as it is drawn, keeping only the running maxima and their
+first witnesses (point-mass pairs first, then the rows in chunk order), so
+its peak memory is flat in the trial count. The reverse-KL probe shows the
+gradient blow-up as teacher mass vanishes on student-supported tokens. Row
+sums and row dot products reduce each row as the one-row numpy call would,
+so a stacked call of rows of one width is bit-identical to one call per
+row; zero padding adds exact zeros but can regroup a row's sum by ulps.
 
 Conventions: natural logs, 0*log(0) := 0, and the reverse direction is
 defined as rev(p||q) := KL(q||p). Infinite losses are reported as a genuine
@@ -245,11 +248,42 @@ class BoundProbeReport:
 #: Dirichlet concentrations of a random row, drawn per row and per side.
 _ALPHAS = np.array([0.1, 1.0, 10.0])
 
+#: Most padded entries (rows times the widest row) a chunk of the bound
+#: sweep holds, so that its peak memory does not grow with the trial count.
+_CHUNK_ENTRIES = 2**14
 
-def _draw_block(n: int, vocab: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """n (p, q) rows at one vocabulary; row j is near-disjoint, random,
-    spiked or random as j % 4.
 
+def _chunks(shares):
+    """Cut (vocab, rows) shares, in order, into chunks of at most
+    _CHUNK_ENTRIES padded entries; each chunk is a list of (vocab, rows).
+
+    A chunk takes as many rows of the next share as fit at its new width
+    and is full when none fits, so a large share splits into
+    single-vocabulary chunks and consecutive small shares share one. A
+    share of 0 rows adds nothing; a row wider than the bound is a chunk
+    alone.
+    """
+    chunk, rows, width = [], 0, 0
+    for vocab, count in shares:
+        while count:
+            wider = max(width, vocab)
+            take = min(count, max(_CHUNK_ENTRIES // wider, 1) - rows)
+            if take <= 0:
+                yield chunk
+                chunk, rows, width = [], 0, 0
+                continue
+            chunk.append((vocab, take))
+            rows, width, count = rows + take, wider, count - take
+    if chunk:
+        yield chunk
+
+
+def _draw_block(vocab: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One (p, q) row per entry of vocab, the row's vocabulary; row j is
+    near-disjoint, random, spiked or random as j % 4.
+
+    Rows are zero-padded to the widest vocabulary: each row sums to 1 over
+    its own vocabulary and its padding is exactly 0 in p and q.
     Near-disjoint: p on the left half and q on the right, each with cross
     mass 10^U(-300, -2); the JSD sup lives out here. Spiked: p holds
     10^U(-300, -8) on token 0, where q holds a spike U(0.3, 0.9); the
@@ -257,19 +291,26 @@ def _draw_block(n: int, vocab: int, rng: np.random.Generator) -> tuple[np.ndarra
     Random: Dirichlet p and q, with q floored at 1e-300 (Dirichlet(0.1) can
     underflow to exact zero) so that log q is a usable logit row.
     """
-    P, Q = np.empty((2, n, vocab))
-    tokens, half = np.arange(vocab), vocab // 2
-    t, u = 10.0 ** rng.uniform(-300, -2, (2, len(P[0::4]), 1))
-    P[0::4] = np.where(tokens < half, (1 - t) / half, t / (vocab - half))
-    Q[0::4] = np.where(tokens < half, u / half, (1 - u) / (vocab - half))
-    t = 10.0 ** rng.uniform(-300, -8, (len(P[2::4]), 1))
+    width = int(vocab.max())
+    P, Q = np.empty((2, len(vocab), width))
+    tokens = np.arange(width)
+    v = vocab[0::4, None]
+    half = v // 2
+    t, u = 10.0 ** rng.uniform(-300, -2, (2, len(v), 1))
+    P[0::4] = np.where(tokens < half, (1 - t) / half, t / (v - half))
+    Q[0::4] = np.where(tokens < half, u / half, (1 - u) / (v - half))
+    v = vocab[2::4, None]
+    t = 10.0 ** rng.uniform(-300, -8, (len(v), 1))
     spike = rng.uniform(0.3, 0.9, t.shape)
-    P[2::4] = np.where(tokens == 0, t, (1 - t) / (vocab - 1))
-    Q[2::4] = np.where(tokens == 0, spike, (1 - spike) / (vocab - 1))
+    P[2::4] = np.where(tokens == 0, t, (1 - t) / (v - 1))
+    Q[2::4] = np.where(tokens == 0, spike, (1 - spike) / (v - 1))
     alphas = _ALPHAS[rng.integers(3, size=(2, len(P[1::2]), 1))]
-    gammas = rng.standard_gamma(alphas, size=(2, len(P[1::2]), vocab))
+    gammas = rng.standard_gamma(alphas, size=(2, len(P[1::2]), width))
     gammas /= gammas.sum(-1, keepdims=True)
     P[1::2], Q[1::2] = gammas[0], np.maximum(gammas[1], 1e-300)
+    if vocab.min() < width:
+        pad = tokens >= vocab[:, None]
+        P[pad] = Q[pad] = 0.0
     return P / P.sum(-1, keepdims=True), Q / Q.sum(-1, keepdims=True)
 
 
@@ -291,10 +332,18 @@ def jsd_bound_probe(
     gradient inf-norm, together with the witness pairs that attained them.
     The disjoint point-mass pair (which attains the loss sup exactly) is
     always included. Vocabulary k of K gets len(range(k, n_trials, K)) of
-    the trials, drawn as one `_draw_block` and scored as soon as it is
-    drawn, so at most one block is held at a time. A witness is the first
-    maximum in scan order: the point-mass pair at the first vocabulary,
-    then the blocks in vocabulary order, each block in row order.
+    the trials. The shares, in vocabulary order, are cut into `_chunks` of
+    at most _CHUNK_ENTRIES padded entries; each chunk is drawn as one
+    `_draw_block` and scored as soon as it is drawn, so the peak memory
+    does not grow with n_trials. The student's padded logits are -inf, so
+    padding adds exact zeros to every value, gradient and inf-norm.
+
+    A witness is the first maximum in scan order: the point-mass pair at
+    the first vocabulary, then the rows in chunk order. Padding regroups
+    numpy's row sums, so a chunk's new maximum is scored again alone at its
+    own vocabulary, as its witness is read, and that value is kept if it
+    still beats the running maximum; the forward-KL maximum, which has no
+    witness, keeps its chunk value.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -307,26 +356,45 @@ def jsd_bound_probe(
     def witness(v: int, p: np.ndarray, q: np.ndarray) -> dict:
         return {"vocab": v, "p": p.tolist(), "q": q.tolist()}
 
+    def loss_alone(p: np.ndarray, q: np.ndarray) -> float:
+        return batch(kind, p[None], q[None], grad=False)[0][0]
+
+    def grad_norm_alone(p: np.ndarray, q: np.ndarray) -> float:
+        return _inf_norms(batch(kind, p[None], softmax_rows(np.log(q[None])))[1])[0]
+
     # Scored once: every zero of the pair adds an exact 0 term to its row
     # sums, so its value does not depend on |V| at any beta.
     pm = np.eye(2, vocab_sizes[0])
-    max_loss = batch(kind, pm[:1], pm[1:], grad=False)[0][0]
+    max_loss = loss_alone(*pm)
     witness_loss = witness(vocab_sizes[0], *pm)
-    for k, v in enumerate(vocab_sizes[:n_trials]):
-        p, q = _draw_block(len(range(k, n_trials, len(vocab_sizes))), v, rng)
+    shares = ((v, len(range(k, n_trials, len(vocab_sizes)))) for k, v in enumerate(vocab_sizes))
+    for chunk in _chunks(shares):
+        vocab = np.repeat(*np.array(chunk).T)
+        p, q = _draw_block(vocab, rng)
         validate_probs(p)
         validate_probs(q)
-        z = np.log(q)
-        validate_logits(z)
+        with np.errstate(divide="ignore"):
+            z = np.log(q)
+        if vocab.min() < z.shape[1]:
+            # each padding entry checked as a copy of its row's first logit
+            validate_logits(np.where(np.arange(z.shape[1]) >= vocab[:, None], z[:, :1], z))
+        else:
+            validate_logits(z)
         q_soft = softmax_rows(z)
         losses = batch(kind, p, q, grad=False)[0]
         grad_norms = _inf_norms(batch(kind, p, q_soft)[1])
         max_fwd = np.maximum(max_fwd, _inf_norms(batch(FORWARD_KL, p, q_soft)[1]).max())
         i, j = int(np.argmax(losses)), int(np.argmax(grad_norms))
         if _beats(losses[i], max_loss):
-            max_loss, witness_loss = losses[i], witness(v, p[i], q[i])
+            v = int(vocab[i])
+            loss = loss_alone(p[i, :v], q[i, :v])
+            if _beats(loss, max_loss):
+                max_loss, witness_loss = loss, witness(v, p[i, :v], q[i, :v])
         if _beats(grad_norms[j], max_inf_norm):
-            max_inf_norm, witness_grad = grad_norms[j], witness(v, p[j], q[j])
+            v = int(vocab[j])
+            norm = grad_norm_alone(p[j, :v], q[j, :v])
+            if _beats(norm, max_inf_norm):
+                max_inf_norm, witness_grad = norm, witness(v, p[j, :v], q[j, :v])
 
     return BoundProbeReport(
         beta=beta,

@@ -14,6 +14,7 @@ import inspect
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -402,19 +403,26 @@ def _run_opad(config: RunConfig, out: Path) -> dict:
 def _acquire_lock(lock: Path) -> bool:
     """Create lock holding this process's PID. A lock naming a PID that no
     longer exists is reclaimed; an empty or unreadable lock, or a live or
-    unprobeable PID, blocks (a PID <= 0 probes this process group)."""
+    unprobeable PID, blocks (a PID <= 0 probes this process group).
+
+    The PID goes to a temporary file beside lock, which is then hard-linked
+    to lock, so the lock never exists without its PID: a run stopped
+    between the two steps leaves no lock behind to block the next one."""
     try:
         os.kill(max(int(lock.read_text(encoding="ascii")), 0), 0)
     except ProcessLookupError:
         lock.unlink(missing_ok=True)
     except (OSError, ValueError, OverflowError):
         pass
+    fd, tmp = tempfile.mkstemp(prefix=lock.name + ".", dir=lock.parent)
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        with os.fdopen(fd, "w", encoding="ascii") as f:
+            f.write(str(os.getpid()))
+        os.link(tmp, lock)
     except FileExistsError:
         return False
-    os.write(fd, str(os.getpid()).encode())
-    os.close(fd)
+    finally:
+        os.unlink(tmp)
     return True
 
 

@@ -114,13 +114,15 @@ def validate_logits(logits: np.ndarray) -> None:
     row, the row spread), taken in Python floats so that a NaN or an
     infinite entry fails it without a warning. Only input that fails it
     meets the row-wise checks, which word the error (non-finite, then the
-    largest row spread) or accept stacked rows that sit far apart.
+    largest row spread) or accept stacked rows that sit far apart. A finite
+    row whose spread overflows has spread inf.
     """
     if float(logits.max()) - float(logits.min()) <= _MAX_LOGIT_SPREAD:
         return
     if not np.isfinite(logits).all():
         raise ValueError("logits contain non-finite entries")
-    spread = float((logits.max(axis=-1) - logits.min(axis=-1)).max())
+    with np.errstate(over="ignore"):
+        spread = float((logits.max(axis=-1) - logits.min(axis=-1)).max())
     if spread > _MAX_LOGIT_SPREAD:
         raise ValueError(
             f"logit spread {spread:.1f} exceeds {_MAX_LOGIT_SPREAD}; "

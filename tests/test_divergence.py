@@ -15,6 +15,8 @@ from debatekd.divergence import (
     JSD_GRAD_TIGHT_BOUND,
     REVERSE_KL,
     DivergenceKind,
+    _CHUNK_ENTRIES,
+    _chunks,
     _draw_block,
     batch,
     divergence_value,
@@ -438,9 +440,11 @@ class TestBoundProbes:
             assert report.witness_loss == {"vocab": 5, "p": pm[0], "q": pm[1]}
 
     def test_one_block_at_a_time(self):
+        # one chunk at a time: a block holding each vocabulary's whole share
+        # peaks at about 14 MiB here
         tracemalloc.start()
         try:
-            jsd_bound_probe(20_000, list(range(2, 65)), RngSeed(0).stream("probes"))
+            jsd_bound_probe(200_000, list(range(2, 65)), RngSeed(0).stream("probes"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -456,10 +460,12 @@ class TestBoundProbes:
 
         def nan_at_vocab_3(kind, P, Q, grad=True):
             values, g = real(kind, P, Q, grad)
-            if P.shape[-1] == 3 and len(P) > 1:
-                values[1] = math.nan
-                if grad:
-                    g[1] = math.nan
+            # the rows of vocabulary 3, in a padded chunk or scored alone:
+            # every sweep student is positive on its own vocabulary
+            rows = (Q > 0).sum(axis=-1) == 3
+            values[rows] = math.nan
+            if grad:
+                g[rows] = math.nan
             return values, g
 
         monkeypatch.setattr(divergence, "batch", nan_at_vocab_3)
@@ -468,18 +474,36 @@ class TestBoundProbes:
         assert math.isnan(report.max_inf_norm) and report.witness_grad["vocab"] == 3
         assert math.isnan(report.max_fwd_inf_norm)
 
-    @pytest.mark.parametrize("vocab", [2, 3, 64])
+    @pytest.mark.parametrize("vocab", [2, 3, 64, "mixed"])
     def test_block_rows_belong_to_their_families(self, vocab):
-        p, q = _draw_block(41, vocab, RngSeed(vocab).stream("probes"))
+        if vocab == "mixed":
+            vocab = np.repeat([5, 2, 64, 3], [7, 11, 13, 10])
+        else:
+            vocab = np.full(41, vocab)
+        p, q = _draw_block(vocab, RngSeed(int(vocab[0])).stream("probes"))
+        tokens = np.arange(p.shape[1])
+        pad = tokens >= vocab[:, None]
         for rows in (p, q):
             assert (rows >= 0).all()
+            assert (rows[pad] == 0).all()
             np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        half = vocab // 2
-        assert (p[0::4, :half].sum(axis=1) >= 0.99).all()
-        assert (q[0::4, half:].sum(axis=1) >= 0.99).all()
+        left = tokens < vocab[:, None] // 2
+        assert (np.where(left, p, 0)[0::4].sum(axis=1) >= 0.99).all()
+        assert (np.where(left, 0, q)[0::4].sum(axis=1) >= 0.99).all()
         assert ((q[2::4, 0] >= 0.3) & (q[2::4, 0] <= 0.9)).all()
         assert (p[2::4, 0] <= 1e-8).all()
-        assert (q[1::2] > 0).all()
+        assert (q[1::2][~pad[1::2]] > 0).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([2, 3, 7, 64, 5000, 2**15]), st.integers(0, 2000))))
+    def test_chunks_keep_order_and_counts_within_the_bound(self, shares):
+        chunks = list(_chunks(shares))
+        rows = [v for chunk in chunks for v, n in chunk for _ in range(n)]
+        assert rows == [v for v, n in shares for _ in range(n)]
+        for chunk in chunks:
+            counts = [n for _, n in chunk]
+            assert min(counts) > 0
+            assert sum(counts) * max(v for v, _ in chunk) <= _CHUNK_ENTRIES or counts == [1]
 
     def test_revkl_probe_values(self):
         out = revkl_unboundedness_probe([0.5, 1e-12, 1e-30])
@@ -519,7 +543,7 @@ def sweep_rows(draw):
     vocab = draw(st.integers(2, 64))
     family = draw(st.sampled_from(MP_FAMILIES))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    P, Q = _draw_block(3, vocab, rng)  # rows: near-disjoint, random, spiked
+    P, Q = _draw_block(np.full(3, vocab), rng)  # rows: near-disjoint, random, spiked
     row = MP_FAMILIES.index(family) if family in MP_FAMILIES[:3] else 1
     p, q = P[row], Q[row]
     if family == "denormal":
@@ -579,20 +603,52 @@ class TestAgainstMpReference:
             got = divergence_value(jsd_kind(beta), Distribution(p), Distribution(q))
             assert within_eps_v(got, ref, 1 + scale, p.size)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(2, 64), min_size=2, max_size=8),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from((FORWARD_KL, jsd_kind(0.5), jsd_kind(0.3))),
+    )
+    def test_padded_rows_match_the_rows_scored_alone(self, vocab, seed, kind):
+        """A sweep chunk's rows, zero-padded to the widest with -inf student
+        logits, against each row scored alone at its own vocabulary: exact
+        zeros in the padding, and the values, gradients and inf-norms within
+        the bound (padding regroups numpy's row sums)."""
+        vocab = np.array(vocab)
+        P, Q = _draw_block(vocab, np.random.default_rng(seed))
+        pad = np.arange(P.shape[1]) >= vocab[:, None]
+        with np.errstate(divide="ignore"):
+            soft = softmax_rows(np.log(Q))
+        values = batch(kind, P, Q, grad=False)[0]
+        G = batch(kind, P, soft)[1]
+        assert (soft[pad] == 0).all() and (G[pad] == 0).all()
+        for v, p, q, value, g in zip(vocab, P, Q, values, G):
+            p, q = p[:v], q[:v]
+            alone = batch(kind, p[None], q[None], grad=False)[0][0]
+            _, scale = mp_reference.divergence(kind.name, kind.beta, p, q)
+            assert within_eps_v(value, alone, 1 + scale, v)
+            g_alone = batch(kind, p[None], softmax_rows(np.log(q[None])))[1][0]
+            *_, grad_scale = mp_reference.logit_gradient(kind.name, kind.beta, p, np.log(q))
+            assert within_eps_v(g[:v], g_alone, grad_scale, v)
+            assert within_eps_v(np.abs(g).max(), np.abs(g_alone).max(), grad_scale, v)
+
     def test_c01_to_c03_witnesses(self):
         """The acceptance sweep's witnesses: the reference keeps each under
         its ceiling, and the kernel's figure is within the bound of it,
         which is the rounding slack c01 allows above log 2."""
         vocabs = list(range(2, 65))
         report = jsd_bound_probe(100_000, vocabs, RngSeed(2024).stream("probes"), beta=0.5)
-        # the forward-KL maximum has no witness in the report: redraw the blocks
+        # the forward-KL maximum has no witness in the report: redraw the chunks
         rng, best = RngSeed(2024).stream("probes"), (-1.0, None, None)
-        for k, v in enumerate(vocabs):
-            P, Q = _draw_block(len(range(k, 100_000, len(vocabs))), v, rng)
-            norms = np.abs(batch(FORWARD_KL, P, softmax_rows(np.log(Q)))[1]).max(axis=1)
+        for chunk in _chunks((v, len(range(k, 100_000, len(vocabs)))) for k, v in enumerate(vocabs)):
+            vocab = np.repeat(*np.array(chunk).T)
+            P, Q = _draw_block(vocab, rng)
+            with np.errstate(divide="ignore"):
+                z = np.log(Q)
+            norms = np.abs(batch(FORWARD_KL, P, softmax_rows(z))[1]).max(axis=1)
             j = int(np.argmax(norms))
             if norms[j] > best[0]:
-                best = (norms[j], P[j], Q[j])
+                best = (norms[j], P[j, : vocab[j]], Q[j, : vocab[j]])
         assert best[0] == report.max_fwd_inf_norm
 
         p, q = (np.array(report.witness_loss[key]) for key in "pq")

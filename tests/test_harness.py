@@ -282,8 +282,8 @@ ARTIFACT_DIGESTS = {
     "bounds": (
         {"experiment": "bounds", "iterations": 2000},
         {
-            "bounds_report.json": "19cdc3fd7cc7a018de67a525c18b195584cd42304ef0c76d5ec4e00fe1a62d9f",
-            "metrics.csv": "d7aade31846944ea1c0e21d2016c631f87c1bec12c048676c8781b2ce5c04480",
+            "bounds_report.json": "db0a6a893e38e9ff5c6678943ea9f9b145c88d8f150021dff390d7523e0e11a9",
+            "metrics.csv": "6addef73e2d93450c6c9626d0d37d04fb4e00682dfe257363b9e75b6825ed5b6",
             "revkl_report.json": "45924f656bf7e8a20eb3172cd5a7a007aa505cfc9367db8e3d023875d9454a48",
         },
     ),
@@ -463,3 +463,22 @@ class TestCrashRecovery:
         assert not lock.exists()
         assert main([*argv, "--out", str(clean)]) == EXIT_OK
         assert (crashed / "metrics.csv").read_bytes() == (clean / "metrics.csv").read_bytes()
+
+    def test_run_stopped_before_its_lock_is_linked_does_not_block(self, tmp_path):
+        """A run killed after writing its PID to the temporary file but
+        before linking it to the lock leaves no lock: the next run goes
+        ahead."""
+        out = tmp_path / "stopped"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = (
+            "import os, signal, sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from debatekd.harness import RunConfig, run\n"
+            "os.link = lambda *args: os.kill(os.getpid(), signal.SIGKILL)\n"
+            "run(RunConfig(experiment='bounds', iterations=10, out_dir=sys.argv[1]))\n"
+        )
+        child = subprocess.run([sys.executable, "-c", script, str(out)], timeout=60)
+        assert child.returncode == -signal.SIGKILL
+        assert out.is_dir() and not (out / ".lock").exists()
+        assert run(RunConfig(experiment="bounds", iterations=10, out_dir=str(out))) == EXIT_OK
+        assert not (out / ".lock").exists()
