@@ -14,13 +14,14 @@ shares, in vocabulary order, into chunks of a fixed number of padded
 entries (a large share fills single-vocabulary chunks, consecutive small
 shares share one, zero-padded to its widest row). It draws each chunk's
 near-disjoint, random and spiked rows with vectorised draws and scores the
-chunk as soon as it is drawn, keeping only the running maxima and their
-first witnesses (point-mass pairs first, then the rows in chunk order), so
-its peak memory is flat in the trial count. The reverse-KL probe shows the
-gradient blow-up as teacher mass vanishes on student-supported tokens. Row
-sums and row dot products reduce each row as the one-row numpy call would,
-so a stacked call of rows of one width is bit-identical to one call per
-row; zero padding adds exact zeros but can regroup a row's sum by ulps.
+chunk as soon as it is drawn, keeping only the running maxima of the
+pairs scored alone and their first witnesses (point-mass pairs first, then
+the rows in chunk order), so its peak memory is flat in the trial count.
+The reverse-KL probe shows the gradient blow-up as teacher mass vanishes on
+student-supported tokens. Row sums and row dot products reduce each row as
+the one-row numpy call would, so a stacked call of rows of one width is
+bit-identical to one call per row; zero padding adds exact zeros but can
+regroup a row's sum by ulps.
 
 Conventions: natural logs, 0*log(0) := 0, and the reverse direction is
 defined as rev(p||q) := KL(q||p). Infinite losses are reported as a genuine
@@ -308,9 +309,8 @@ def _draw_block(vocab: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray
     gammas = rng.standard_gamma(alphas, size=(2, len(P[1::2]), width))
     gammas /= gammas.sum(-1, keepdims=True)
     P[1::2], Q[1::2] = gammas[0], np.maximum(gammas[1], 1e-300)
-    if vocab.min() < width:
-        pad = tokens >= vocab[:, None]
-        P[pad] = Q[pad] = 0.0
+    pad = tokens >= vocab[:, None]
+    P[pad] = Q[pad] = 0.0
     return P / P.sum(-1, keepdims=True), Q / Q.sum(-1, keepdims=True)
 
 
@@ -318,6 +318,50 @@ def _beats(x: float, best: float) -> bool:
     """x is a new first maximum: above best, or the first NaN of the scan,
     which stays the maximum so that the bound checks see it."""
     return x > best or (math.isnan(x) and not math.isnan(best))
+
+
+#: Half-width, in units of 1 + |value|, of the band below a chunk's maximum
+#: in which a padded row is scored again alone. Padding moves a sweep row's
+#: value by a few eps |V| (`within_eps_v` in the tests), and eps |V| is at
+#: most 2^-38 in a chunk of _CHUNK_ENTRIES entries; a wider band only costs
+#: rescoring.
+_REGROUP_BAND = 2.0**-32
+
+
+def _witness(p: np.ndarray, q: np.ndarray) -> dict:
+    return {"vocab": p.size, "p": p.tolist(), "q": q.tolist()}
+
+
+def _first_maximum(values, vocab, P, Q, score, best):
+    """(value, witness) of the first maximum of a chunk's rows scored
+    alone, score(P[rows, :v], Q[rows, :v]), if it beats best; else None.
+
+    A row as wide as the chunk has no padding, so its chunk value is its
+    value alone: a stacked call of rows of one width reduces each row as
+    the one-row call. A narrower row's padding regroups its sums, so every
+    narrower row whose value lies within _REGROUP_BAND of the maximum is
+    scored again alone, one call per vocabulary; a row outside the band
+    is below best or below another row's value alone. A NaN stays the
+    maximum.
+    """
+    if math.isnan(best):
+        return None
+    narrow = vocab < vocab.max()
+    band = np.where(narrow, _REGROUP_BAND * (1 + np.abs(values)), 0.0)
+    nan = np.isnan(values)
+    floor = np.max(values - band, initial=best, where=~nan)
+    rows = np.flatnonzero(nan | (values + band >= floor))
+    if not rows.size:
+        return None
+    exact = values[rows]
+    for v in set(vocab[rows[narrow[rows]]].tolist()):
+        again = vocab[rows] == v
+        exact[again] = score(P[rows[again], :v], Q[rows[again], :v])
+    k = int(np.argmax(exact))  # the first NaN, else the first maximum
+    if not _beats(exact[k], best):
+        return None
+    i, v = rows[k], vocab[rows[k]]
+    return exact[k], _witness(P[i, :v], Q[i, :v])
 
 
 def jsd_bound_probe(
@@ -338,12 +382,13 @@ def jsd_bound_probe(
     does not grow with n_trials. The student's padded logits are -inf, so
     padding adds exact zeros to every value, gradient and inf-norm.
 
-    A witness is the first maximum in scan order: the point-mass pair at
-    the first vocabulary, then the rows in chunk order. Padding regroups
-    numpy's row sums, so a chunk's new maximum is scored again alone at its
-    own vocabulary, as its witness is read, and that value is kept if it
-    still beats the running maximum; the forward-KL maximum, which has no
-    witness, keeps its chunk value.
+    The loss and JSD gradient maxima are over every pair scored alone at
+    its own vocabulary, as its witness is read, and a witness is the first
+    maximum in scan order: the point-mass pair at the first vocabulary,
+    then the rows in chunk order. Padding regroups numpy's row sums, so
+    the padded rows near a chunk's maximum are scored again alone (see
+    `_first_maximum`). The forward-KL maximum, which has no witness, is
+    over the chunk values.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -353,20 +398,17 @@ def jsd_bound_probe(
     vocab_sizes = [int(v) for v in vocab_sizes]
     max_inf_norm = max_fwd = -math.inf
 
-    def witness(v: int, p: np.ndarray, q: np.ndarray) -> dict:
-        return {"vocab": v, "p": p.tolist(), "q": q.tolist()}
+    def losses_of(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return batch(kind, p, q, grad=False)[0]
 
-    def loss_alone(p: np.ndarray, q: np.ndarray) -> float:
-        return batch(kind, p[None], q[None], grad=False)[0][0]
-
-    def grad_norm_alone(p: np.ndarray, q: np.ndarray) -> float:
-        return _inf_norms(batch(kind, p[None], softmax_rows(np.log(q[None])))[1])[0]
+    def grad_norms_of(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return _inf_norms(batch(kind, p, softmax_rows(np.log(q)))[1])
 
     # Scored once: every zero of the pair adds an exact 0 term to its row
     # sums, so its value does not depend on |V| at any beta.
     pm = np.eye(2, vocab_sizes[0])
-    max_loss = loss_alone(*pm)
-    witness_loss = witness(vocab_sizes[0], *pm)
+    max_loss = losses_of(pm[:1], pm[1:])[0]
+    witness_loss = _witness(*pm)
     shares = ((v, len(range(k, n_trials, len(vocab_sizes)))) for k, v in enumerate(vocab_sizes))
     for chunk in _chunks(shares):
         vocab = np.repeat(*np.array(chunk).T)
@@ -375,26 +417,18 @@ def jsd_bound_probe(
         validate_probs(q)
         with np.errstate(divide="ignore"):
             z = np.log(q)
-        if vocab.min() < z.shape[1]:
-            # each padding entry checked as a copy of its row's first logit
-            validate_logits(np.where(np.arange(z.shape[1]) >= vocab[:, None], z[:, :1], z))
-        else:
-            validate_logits(z)
+        # each padding entry checked as a copy of its row's first logit
+        validate_logits(np.where(np.arange(z.shape[1]) >= vocab[:, None], z[:, :1], z))
         q_soft = softmax_rows(z)
-        losses = batch(kind, p, q, grad=False)[0]
+        losses = losses_of(p, q)
         grad_norms = _inf_norms(batch(kind, p, q_soft)[1])
         max_fwd = np.maximum(max_fwd, _inf_norms(batch(FORWARD_KL, p, q_soft)[1]).max())
-        i, j = int(np.argmax(losses)), int(np.argmax(grad_norms))
-        if _beats(losses[i], max_loss):
-            v = int(vocab[i])
-            loss = loss_alone(p[i, :v], q[i, :v])
-            if _beats(loss, max_loss):
-                max_loss, witness_loss = loss, witness(v, p[i, :v], q[i, :v])
-        if _beats(grad_norms[j], max_inf_norm):
-            v = int(vocab[j])
-            norm = grad_norm_alone(p[j, :v], q[j, :v])
-            if _beats(norm, max_inf_norm):
-                max_inf_norm, witness_grad = norm, witness(v, p[j, :v], q[j, :v])
+        found = _first_maximum(losses, vocab, p, q, losses_of, max_loss)
+        if found:
+            max_loss, witness_loss = found
+        found = _first_maximum(grad_norms, vocab, p, q, grad_norms_of, max_inf_norm)
+        if found:
+            max_inf_norm, witness_grad = found
 
     return BoundProbeReport(
         beta=beta,

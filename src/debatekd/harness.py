@@ -407,7 +407,9 @@ def _acquire_lock(lock: Path) -> bool:
 
     The PID goes to a temporary file beside lock, which is then hard-linked
     to lock, so the lock never exists without its PID: a run stopped
-    between the two steps leaves no lock behind to block the next one."""
+    between the two steps leaves no lock behind to block the next one. It
+    leaves the temporary file (lock's name plus a random suffix) instead,
+    which blocks nothing and is never removed."""
     try:
         os.kill(max(int(lock.read_text(encoding="ascii")), 0), 0)
     except ProcessLookupError:

@@ -18,6 +18,7 @@ from debatekd.divergence import (
     _CHUNK_ENTRIES,
     _chunks,
     _draw_block,
+    _first_maximum,
     batch,
     divergence_value,
     finite_difference_gradient,
@@ -423,6 +424,42 @@ class TestBoundProbes:
         _, g = batch(jsd_kind(0.5), np.array([w["p"]]), softmax_rows(np.log([w["q"]])))
         assert np.max(np.abs(g)).tobytes() == np.float64(report.max_inf_norm).tobytes()
         assert {report.witness_loss["vocab"], w["vocab"]} <= set(vocab_sizes)
+
+    @pytest.mark.parametrize("seed, n_trials", [(0, 2000), (1, 2000), (5, 997)])
+    def test_maxima_are_over_every_pair_scored_alone(self, seed, n_trials):
+        # at 2000 pairs, seed 0, a narrower row is one ulp above the padded
+        # maximum's row once both are scored alone
+        vocabs, kind = list(range(2, 65)), jsd_kind(0.5)
+        report = jsd_bound_probe(n_trials, vocabs, RngSeed(seed).stream("probes"))
+        rng, losses, norms = RngSeed(seed).stream("probes"), [], []
+        for chunk in _chunks((v, len(range(k, n_trials, 63))) for k, v in enumerate(vocabs)):
+            vocab = np.repeat(*np.array(chunk).T)
+            P, Q = _draw_block(vocab, rng)
+            for v, p, q in zip(vocab, P, Q):
+                p, q = p[None, :v], q[None, :v]
+                losses.append((batch(kind, p, q, grad=False)[0][0], v))
+                norms.append((np.abs(batch(kind, p, softmax_rows(np.log(q)))[1]).max(), v))
+        for (value, vocab), figure, w in [
+            (max(losses, key=lambda x: x[0]), report.max_loss, report.witness_loss),
+            (max(norms, key=lambda x: x[0]), report.max_inf_norm, report.witness_grad),
+        ]:
+            assert (figure, w["vocab"]) == (value, vocab)
+
+    def test_a_padded_row_just_below_the_maximum_is_scored_alone(self):
+        x = math.log(2)
+        values = np.array([np.nextafter(x, 0), 0.1, x, np.nextafter(x, 0)])
+        vocab = np.array([2, 2, 3, 3])
+        P = Q = np.full((4, 3), 1 / 3)
+        calls = []
+
+        def score(p, q):  # the narrow rows scored alone: one ulp above x
+            calls.append(len(p))
+            return np.full(len(p), np.nextafter(x, 1))
+
+        value, w = _first_maximum(values, vocab, P, Q, score, -math.inf)
+        # row 1 lies far below the band and row 3 is unpadded: neither is rescored
+        assert value == np.nextafter(x, 1) and w["vocab"] == 2 and calls == [1]
+        assert _first_maximum(values, vocab, P, Q, score, 1.0) is None
 
     @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7])
     def test_point_mass_value_does_not_depend_on_vocab(self, beta):
