@@ -5,7 +5,13 @@ array-native kernel `batch`: given (N, V) teacher and student rows it
 returns the per-row values and, on request, the gradients in the student's
 logits (the teacher is a fixed target). JSD's gradient in the student q is
 the closed form (1 - beta) log(q/m): the two terms that reach q through the
-mixture m cancel the +(1 - beta) of q log q. Everything else wraps `batch`:
+mixture m cancel the +(1 - beta) of q log q. Each value is a weighted sum of
+KL terms, written once per kind (`_terms`). `batch` takes one kind for all
+rows, or a kind per row: rows of one kind score each term over all rows,
+and a few rows that differ in kind (the mode fit's reverse-KL, JSD and
+forward-KL rows) stack every row's terms under one log ratio and one row
+sum, each row still bit-identical to its one-row call. Everything else
+wraps `batch`:
 `divergence_value` and `logit_gradient` at the validated
 `Distribution`/`LogitVector` edge, a central-difference oracle over all 2V
 stencil rows in one call, and two probes. The JSD probe checks the loss and
@@ -128,6 +134,7 @@ def _log_ratio(a: np.ndarray, b: np.ndarray, mixture: bool = False) -> np.ndarra
     ratio = np.where(a > 0, a / b, 1.0)
     out = np.log(ratio)
     if ratio.max(initial=0.0) == math.inf:
+        a, b = np.broadcast_arrays(a, b)  # one teacher row may serve all rows
         over = (ratio == math.inf) & (b > 0)
         out[over] = np.log(a[over]) - np.log(b[over])
         if mixture:
@@ -146,16 +153,117 @@ def _centred(Q: np.ndarray, ell: np.ndarray) -> np.ndarray:
     return Q * (ell - _row_dot(Q, ell)[:, None])
 
 
+def _terms(kind: DivergenceKind, P, Q) -> tuple:
+    """kind's value as weighted KL(A||B) terms, (weight, A, B): KL(P||Q) for
+    forward KL, KL(Q||P) for reverse KL, and (1 - beta) KL(Q||m) + beta
+    KL(P||m) for JSD, m = beta P + (1 - beta) Q (two terms add in either
+    order to the same double)."""
+    if kind.name == "forward_kl":
+        return ((1.0, P, Q),)
+    if kind.name == "reverse_kl":
+        return ((1.0, Q, P),)
+    beta = kind.beta
+    m = beta * P + (1 - beta) * Q
+    return ((1 - beta, Q, m), (beta, P, m))
+
+
+def _one_kind(kind: DivergenceKind, P: np.ndarray, Q: np.ndarray, grad: bool):
+    """`batch` for rows of one kind: each of its terms over all rows, then
+    the rest of its formula. JSD's rows with P == Q are 0. The logit
+    gradient is Q - P for forward KL; otherwise the first term's A is Q,
+    and it is that term's weight times Q (ell - E_Q ell) for its log ratio
+    ell, with +inf on the teacher zeros and -inf elsewhere on a reverse-KL
+    row of value +inf.
+    """
+    mixture = kind.name == "jsd"
+    terms = _terms(kind, P, Q)
+    weight, A, B = terms[0]
+    ell = _log_ratio(A, B, mixture)
+    values = weight * _kl_rows(A, ell)
+    for w, a, b in terms[1:]:
+        values += w * _kl_rows(a, _log_ratio(a, b, mixture))
+    if mixture:
+        # identity holds exactly; the mixture would round otherwise
+        values[(P == Q).all(axis=-1)] = 0.0
+    if not grad:
+        return values, None
+    if kind.name == "forward_kl":
+        return values, Q - P
+    g = _centred(Q, ell)
+    g *= weight
+    if kind.name == "reverse_kl":
+        inf = values == math.inf
+        if inf.any():
+            g[inf] = np.where(np.broadcast_to(P, g.shape)[inf] == 0, math.inf, -math.inf)
+    return values, g
+
+
+def _mixed(kinds: tuple, P: np.ndarray, Q: np.ndarray, grad: bool):
+    """`batch` for a few rows that differ in kind.
+
+    One stack holds every row's first term, in row order, then the rows'
+    further terms (JSD's second); one `_log_ratio` and one `_kl_rows` score
+    it, and each row's terms add in Python floats in `_one_kind`'s order.
+    `_one_kind`'s gradient rules then apply row by row: Q - P on a
+    forward-KL row, else the first term's weight times its row of one
+    `_centred` over all rows. A stack that may need its other rules is
+    scored row by row by `_one_kind` instead: one with a non-finite value,
+    which a null B under a positive A gives (JSD's mixture rule, reverse
+    KL's +inf rows), or with a JSD row whose two terms score one value, as
+    they do where P == Q. Each row is bit-identical to its one-row call.
+    """
+    n = len(Q)
+    if not kinds or len(kinds) != n or len(P) not in (1, n):
+        raise ValueError(f"{len(kinds)} kinds for {len(P)} teacher and {n} student rows")
+    teachers = [P[0]] * n if len(P) < n else P
+    rows = [_terms(kind, p, q) for kind, p, q in zip(kinds, teachers, Q)]
+    further = [(r, term) for r, row in enumerate(rows) for term in row[1:]]
+    stack = [row[0] for row in rows] + [term for _, term in further]
+    A, B = np.array([[a for _, a, _ in stack], [b for _, _, b in stack]])
+    L = _log_ratio(A, B)
+    K = _kl_rows(A, L).tolist()
+    # P == Q gives JSD's two terms one value
+    if not math.isfinite(sum(K)) or any(K[j] == K[r] for j, (r, _) in enumerate(further, n)):
+        scored = [_one_kind(kind, p[None], q[None], grad) for kind, p, q in zip(kinds, teachers, Q)]
+        values = np.concatenate([v for v, _ in scored])
+        return values, (np.concatenate([g for _, g in scored]) if grad else None)
+    sums = [w * k for (w, _, _), k in zip(stack, K)]
+    for j, (r, _) in enumerate(further, n):
+        sums[r] += sums[j]
+    values = np.array(sums[:n])
+    if not grad:
+        return values, None
+    G = _centred(Q, L[:n])
+    for r, (kind, (w, _, _)) in enumerate(zip(kinds, stack)):
+        if kind.name == "forward_kl":
+            np.subtract(Q[r], teachers[r], out=G[r])
+        else:
+            G[r] *= w
+    return values, G
+
+
 def batch(
-    kind: DivergenceKind, P: np.ndarray, Q: np.ndarray, grad: bool = True
+    kind: DivergenceKind | tuple[DivergenceKind, ...],
+    P: np.ndarray,
+    Q: np.ndarray,
+    grad: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Divergence of teacher rows P from student rows Q, one value per row.
 
-    P and Q are (N, V) probability arrays. Returns the N values, which do not
-    depend on grad, and with grad the (N, V) gradients in the student's
-    logits (else None). A student zero adds nothing, by 0 log 0 := 0. Inputs
-    are not validated beyond a matching vocabulary: the wrappers check them
-    at the API edge.
+    P and Q are (N, V) probability arrays, or P is one row for every row of
+    Q. kind is one DivergenceKind for every row, or a tuple with one kind per
+    row of Q. Returns the N values, which do not depend on grad, and with
+    grad the (N, V) gradients in the student's logits (else None). A student
+    zero adds nothing, by 0 log 0 := 0. Inputs are not validated beyond a
+    matching vocabulary and kind count: the wrappers check them at the API
+    edge.
+
+    Each kind's value is a weighted sum of KL terms (`_terms`). Rows of one
+    kind, a tuple of equal kinds included, score those terms one at a time
+    over all rows (`_one_kind`); rows that differ in kind, a few at a time
+    as in a mode-fit step, stack every row's terms and score the stack at
+    once (`_mixed`). Either way each row is bit-identical to its one-row
+    one-kind call.
 
     Each logit gradient is Q * (d - E_Q d) for the loss's gradient d in Q:
     Q - P for forward KL; d = log(Q/P) for reverse KL, +inf/-inf entries and
@@ -165,29 +273,11 @@ def batch(
     if P.shape[-1] != Q.shape[-1]:
         raise ValueError(f"vocab mismatch: {P.shape[-1]} vs {Q.shape[-1]}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if kind.name == "forward_kl":
-            return _kl_rows(P, _log_ratio(P, Q)), (Q - P if grad else None)
-
-        if kind.name == "reverse_kl":
-            ell = _log_ratio(Q, P)
-            values = _kl_rows(Q, ell)
-            if not grad:
-                return values, None
-            g = _centred(Q, ell)
-            inf = values == math.inf
-            if inf.any():
-                # +inf on the teacher zeros, -inf everywhere else
-                g[inf] = np.where(P[inf] == 0, math.inf, -math.inf)
-            return values, g
-
-        beta = kind.beta
-        m = beta * P + (1 - beta) * Q
-        ell = _log_ratio(Q, m, mixture=True)
-        values = beta * _kl_rows(P, _log_ratio(P, m, mixture=True))
-        values += (1 - beta) * _kl_rows(Q, ell)
-        # identity holds exactly; the mixture would round otherwise
-        values[(P == Q).all(axis=-1)] = 0.0
-        return values, ((1 - beta) * _centred(Q, ell) if grad else None)
+        if isinstance(kind, DivergenceKind):
+            return _one_kind(kind, P, Q, grad)
+        if kind and kind.count(kind[0]) == len(kind) == len(Q):
+            return _one_kind(kind[0], P, Q, grad)
+        return _mixed(kind, P, Q, grad)
 
 
 def divergence_value(kind: DivergenceKind, p: Distribution, q: Distribution) -> float:

@@ -45,6 +45,10 @@ _MAX_TRAIN_STEPS = 4 * _MAX_ITERATIONS
 #: Largest `iterations * max_steps * num_teachers` of an opad run, which
 #: records every teacher's weight per step: `_MAX_TRAIN_STEPS` at two teachers.
 _MAX_TEACHER_STEPS = 2 * _MAX_TRAIN_STEPS
+#: Largest `rounds * num_teachers` of a debate: `run_debate` keeps every
+#: round's responses and debate-demo writes each cell to its transcripts.
+#: At this bound a default debate-demo takes about 5 s and writes 10 MB.
+_MAX_DEBATE_CELLS = 10**4
 
 
 class ConfigError(ValueError):
@@ -127,6 +131,9 @@ class RunConfig:
         if self.experiment == "opad" and steps * self.num_teachers > _MAX_TEACHER_STEPS:
             raise ConfigError(f"num_teachers: iterations * max_steps * num_teachers must be at "
                               f"most {_MAX_TEACHER_STEPS}, got {steps} * {self.num_teachers}")
+        if self.rounds * self.num_teachers > _MAX_DEBATE_CELLS:
+            raise ConfigError(f"rounds: rounds * num_teachers must be at most "
+                              f"{_MAX_DEBATE_CELLS}, got {self.rounds} * {self.num_teachers}")
         world = self.build_fixture().world
         if self.experiment == "opad":
             limit = 1.0 / max(world.n_tools, world.n_args)

@@ -282,15 +282,15 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _costs_and_gradients(
-    kinds: list[DivergenceKind], P: np.ndarray, edges: np.ndarray, x: np.ndarray
+    kinds: tuple[DivergenceKind, ...], P: np.ndarray, edges: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cost under kinds[r] of the student x[r] = (mean, log_width) against
     the teacher row P, and its exact gradient in x[r], for every row r.
 
-    One _normal_tail call and one validate_probs cover the block, then one
-    divergence call per row; rows never mix, so each row is bit-identical
-    to a block of its own. An invalid student raises RestrictedStudent's
-    ValueError.
+    One _normal_tail call, one validate_probs and one `batch` call, with a
+    kind per row, cover the block; rows never mix, so each row is
+    bit-identical to a block of its own. An invalid student raises
+    RestrictedStudent's ValueError.
     """
     if not np.isfinite(x).all():
         raise ValueError("student parameters must be finite")
@@ -313,10 +313,7 @@ def _costs_and_gradients(
     np.multiply(z, gauss, out=edge_terms[:, 1])
     dmass = edge_terms[..., :-1] - edge_terms[..., 1:]
     dlog = dmass / np.where(mass > 0, mass, math.inf)[:, None]  # 0 where mass underflowed
-    values, G = np.empty(len(x)), np.empty_like(Q)
-    for r, kind in enumerate(kinds):
-        value, g = batch(kind, P, Q[r : r + 1])
-        values[r], G[r] = value[0], g[0]
+    values, G = batch(kinds, P, Q)
     grads = (dlog @ G[..., None])[..., 0]
     grads *= _INV_SQRT_2PI
     grads[:, 0] /= width[:, 0]
@@ -347,7 +344,7 @@ def _descend(
     while len(results) < len(kinds):
         live = [r for r in range(len(kinds)) if r not in results]
         x = params[live]
-        values, grads = _costs_and_gradients([kinds[r] for r in live], P, edges, x)
+        values, grads = _costs_and_gradients(tuple(kinds[r] for r in live), P, edges, x)
         # every live row steps; a row that finishes or restarts discards its step
         params[live] = x - step_sizes[live] * grads
         for r, row, cost, steady in zip(live, x, values.tolist(),

@@ -90,16 +90,23 @@ def validate_probs(probs: np.ndarray) -> None:
 
     Valid input passes one check, of the minimum and the row sums (a NaN or
     -inf fails the minimum, a +inf its row sum, before any arithmetic could
-    warn on it). Only input that fails it meets the entrywise checks, which
-    word the error: non-finite, then negative, then the first bad row sum.
+    warn on it). A row sum that overflows fails it too: numpy warns, and
+    where warnings are errors the check's RuntimeWarning is caught here.
+    Only input that fails the check meets the entrywise checks, which word
+    the error: non-finite, then negative, then the first bad row sum (inf
+    where it overflows).
     """
-    if probs.min(initial=0.0) >= 0 and (abs(probs.sum(axis=-1) - 1.0) <= _PROB_SUM_TOL).all():
-        return
+    try:
+        if probs.min(initial=0.0) >= 0 and (abs(probs.sum(axis=-1) - 1.0) <= _PROB_SUM_TOL).all():
+            return
+    except RuntimeWarning:  # the row sums overflowed
+        pass
     if not np.isfinite(probs).all():
         raise ValueError("probs contain non-finite entries")
     if (probs < 0).any():
         raise ValueError(f"negative probability entry: min={probs.min()}")
-    totals = probs.sum(axis=-1)
+    with np.errstate(over="ignore"):
+        totals = probs.sum(axis=-1)
     bad = abs(totals - 1.0) > _PROB_SUM_TOL
     if bad.any():
         total = float(np.extract(bad, totals)[0])

@@ -573,11 +573,12 @@ MP_FAMILIES = ("near-disjoint", "random", "spiked", "denormal", "identical", "sh
 
 
 @st.composite
-def sweep_rows(draw):
+def sweep_rows(draw, vocab=None):
     """One (p, q) pair of a family of the bound sweep: `_draw_block`'s
     near-disjoint, random or spiked rows, or a random pair given denormal
-    entries, made identical, or given shared zeros."""
-    vocab = draw(st.integers(2, 64))
+    entries, made identical, or given shared zeros; at vocab, else at a
+    drawn vocabulary."""
+    vocab = vocab or draw(st.integers(2, 64))
     family = draw(st.sampled_from(MP_FAMILIES))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     P, Q = _draw_block(np.full(3, vocab), rng)  # rows: near-disjoint, random, spiked
@@ -596,9 +597,84 @@ def sweep_rows(draw):
     return p / p.sum(), q / q.sum()
 
 
+#: Rows that take the kernel's rare branches, zero-padded to any |V| >= 3.
+SPECIAL_ROWS = (
+    # the mixture beta 5e-324 + (1 - beta) 0 rounds to 0 beside a positive
+    # entry: the overflow branch, and the mixture rule under JSD
+    (np.array([0.5, 0.5, 5e-324]), np.array([0.25, 0.75, 0.0])),
+    # a teacher zero under a positive student: reverse KL +inf, gradient +-inf
+    (np.array([0.5, 0.5, 0.0]), np.array([0.25, 0.5, 0.25])),
+    # a denormal teacher entry under a positive student: a finite reverse-KL
+    # value through the overflow branch
+    (np.array([0.5, 0.5, 5e-324]), np.array([0.25, 0.25, 0.5])),
+)
+
+
+@st.composite
+def mixed_stacks(draw):
+    """(kinds, P, Q): 1-6 rows at one vocabulary, each a `sweep_rows` pair
+    or a special row either way round, with a kind each; P is one row for
+    all of them half the time."""
+    vocab, n = draw(st.integers(3, 64)), draw(st.integers(1, 6))
+    pairs = []
+    for _ in range(n):
+        special = draw(st.sampled_from([None, *range(len(SPECIAL_ROWS))]))
+        if special is None:
+            pairs.append(draw(sweep_rows(vocab)))
+            continue
+        pair = [np.pad(row, (0, vocab - 3)) for row in SPECIAL_ROWS[special]]
+        pairs.append(pair[:: draw(st.sampled_from([1, -1]))])
+    P, Q = (np.array(rows) for rows in zip(*pairs))
+    if draw(st.booleans()):
+        P = P[:1]
+    return tuple(draw(st.sampled_from(ALL_KINDS)) for _ in range(n)), P, Q
+
+
 def within_eps_v(got, ref, scale, vocab):
     """The stated bound: |got - ref| <= eps |V| scale, elementwise."""
     return bool(np.all(np.abs(np.asarray(got) - np.asarray(ref)) <= EPS * vocab * scale))
+
+
+class TestMixedKinds:
+    """`batch` with a kind per row: every row as its one-row one-kind call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_stacks())
+    def test_rows_of_mixed_kinds_match_their_one_kind_calls_bit_for_bit(self, stack):
+        kinds, P, Q = stack
+        values, grads = batch(kinds, P, Q)
+        assert batch(kinds, P, Q, grad=False)[0].tobytes() == values.tobytes()
+        for r, kind in enumerate(kinds):
+            alone, g = batch(kind, P[r : r + 1] if len(P) > 1 else P, Q[r : r + 1])
+            assert values[r].tobytes() == alone.tobytes()
+            assert grads[r].tobytes() == g.tobytes()
+        for kind in set(kinds):
+            same = batch((kind,) * len(Q), P, Q)
+            one = batch(kind, P, Q)
+            assert same[0].tobytes() == one[0].tobytes()
+            assert same[1].tobytes() == one[1].tobytes()
+
+    @pytest.mark.parametrize("special", range(len(SPECIAL_ROWS)))
+    @pytest.mark.parametrize("flip", [1, -1])
+    def test_special_rows_beside_plain_ones(self, special, flip):
+        p, q = SPECIAL_ROWS[special][::flip]
+        plain = np.array([0.2, 0.3, 0.5])
+        kinds = (REVERSE_KL, jsd_kind(0.5), FORWARD_KL, jsd_kind(0.3))
+        P = np.array([p, plain, p, p])
+        Q = np.array([q, q, plain, q])
+        values, grads = batch(kinds, P, Q)
+        for r, kind in enumerate(kinds):
+            alone, g = batch(kind, P[r : r + 1], Q[r : r + 1])
+            assert values[r].tobytes() == alone.tobytes()
+            assert grads[r].tobytes() == g.tobytes()
+
+    def test_kinds_must_match_the_rows(self):
+        P = Q = np.full((2, 3), 1 / 3)
+        for kinds in ((), (FORWARD_KL,), (FORWARD_KL, REVERSE_KL, FORWARD_KL)):
+            with pytest.raises(ValueError, match="kinds for 2 teacher and 2 student rows"):
+                batch(kinds, P, Q)
+        with pytest.raises(ValueError, match="2 kinds for 3 teacher and 2 student rows"):
+            batch((FORWARD_KL, REVERSE_KL), np.full((3, 3), 1 / 3), Q)
 
 
 class TestAgainstMpReference:

@@ -400,12 +400,15 @@ class TestCli:
             ("opad", "not json", None),  # a str is written as it is
             ("opad", {"experiment": "opad", "fixture": "privileged-gap", "num_teachers": 100000,
                       "iterations": 1000000}, "num_teachers"),
+            ("debate-demo", {"experiment": "debate-demo", "rounds": 1000000000}, "rounds"),
+            ("opad", {"experiment": "opad", "rounds": 5001}, "rounds"),
         ],
         ids=["not-an-object", "str-seed", "float-iterations", "float-seed",
              "eps-above-inverse-vocab", "out-is-a-file", "opad-teacher-count",
              "debate-demo-teacher-count", "underflowing-conf-temperature",
              "unallocatable-iterations", "unallocatable-max-steps",
-             "more-experts-than-letters", "not-json", "unallocatable-teachers"],
+             "more-experts-than-letters", "not-json", "unallocatable-teachers",
+             "endless-debate", "debate-past-its-cell-bound"],
     )
     def test_bad_input_is_named_config_error(self, tmp_path, capsys, experiment, config, field):
         path = tmp_path / "config.json"

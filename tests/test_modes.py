@@ -10,9 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from debatekd import modes
 from debatekd.divergence import (
     FORWARD_KL,
     REVERSE_KL,
+    batch,
     divergence_value,
     jsd_kind,
     logit_gradient,
@@ -406,6 +408,19 @@ class TestCoverageOrdering:
             assert got.param_trace.tobytes() == alone.param_trace.tobytes()
             assert got.mode_masses.tobytes() == alone.mode_masses.tobytes()
             assert got.student == alone.student
+
+    def test_one_kernel_call_per_descent_step(self, monkeypatch):
+        """The three rows of a step are scored by one `batch` call, with a
+        kind per row: 51 calls for the 51 evaluations of a 50-step descent."""
+        calls = []
+
+        def counted(kind, *args, **kwargs):
+            calls.append(kind)
+            return batch(kind, *args, **kwargs)
+
+        monkeypatch.setattr(modes, "batch", counted)
+        coverage_ordering(BinnedMixture.two_mode(), steps=50)
+        assert calls == [KINDS] * 51
 
     def test_default_config_ordering(self):
         teacher = BinnedMixture.two_mode(alpha=0.6, separation=8.0)

@@ -255,9 +255,13 @@ class TestValidatorsMatchTheOracle:
     def test_probs(self, case):
         fault, x = case
         ours = outcome(validate_probs, x)
-        assert ours == outcome(reference.validate_probs, x)
-        if fault != "huge":
-            assert ours is None or ours[0] == "ValueError"
+        ref = outcome(reference.validate_probs, x)
+        if fault == "huge" and ref is not None and ref[0] == "RuntimeWarning":
+            # the oracle's row sum overflows; ours names it
+            assert ours == ("ValueError", "probs sum to inf, expected 1 within 1e-09")
+        else:
+            assert ours == ref
+        assert ours is None or ours[0] == "ValueError"
 
     @settings(max_examples=300)
     @given(faulty_arrays(LOGIT_FAULTS, valid_logits_row))
@@ -284,6 +288,13 @@ class TestValidatorsMatchTheOracle:
             LogitVector(np.array([1e308, -1e308]))
         with pytest.raises(ValueError, match="logit spread inf exceeds"):
             validate_logits(np.array([[0.0, 1.0], [-1e308, 1e308]]))
+
+    def test_an_overflowing_row_sum_is_named(self):
+        # also where the sum's overflow warning is an error, as in tier-1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="probs sum to inf, expected 1 within"):
+                Distribution(np.array([1e308, 1e308]))
 
     def test_an_all_inf_row_is_named_without_a_warning(self):
         x = np.array([[0.0, 1.0], [np.inf, np.inf]])
