@@ -178,11 +178,22 @@ def geometric_pool(
 
 
 class MockTeacher(Teacher):
-    """Table-driven teacher with geometric-pool revision."""
+    """Table-driven teacher with geometric-pool revision.
+
+    A response depends only on the state and the values of the last round's
+    tables (the spec is frozen and its base table is never mutated), so
+    `respond` memoises it per instance under the key (state, bytes of each
+    last-round table) and returns the identical, immutable TeacherResponse
+    on a repeat. Keyed by value, not by object identity, a hit is exact for
+    any prior round that equals an earlier one entry for entry. Every
+    `respond` call still happens and builds its key; a hit skips only the
+    pooling, the Distribution validation and the Utterance build.
+    """
 
     def __init__(self, spec: MockTeacherSpec):
         self.name = spec.name
         self.spec = spec
+        self._memo: dict[tuple, TeacherResponse] = {}
 
     def base_dist(self, state: StateKey) -> Distribution:
         try:
@@ -193,9 +204,13 @@ class MockTeacher(Teacher):
     def respond(
         self, state: StateKey, prior_rounds: list[list[TeacherResponse]]
     ) -> TeacherResponse:
+        prev = [resp.dist for resp in prior_rounds[-1]] if prior_rounds else []
+        key = (state, tuple(p.probs.tobytes() for p in prev))
+        response = self._memo.get(key)
+        if response is not None:
+            return response
         dist = self.base_dist(state)
-        if prior_rounds:
-            prev = [resp.dist for resp in prior_rounds[-1]]
+        if prev:
             dist = geometric_pool(dist, prev, self.spec.revision_rate)
         top = int(dist.probs.argmax())
         if self.spec.confidence_override is not None:
@@ -203,7 +218,9 @@ class MockTeacher(Teacher):
         else:
             confidence = round(100.0 * float(dist.probs[top]), 2)
         content = divmod(top, self.spec.action_shape[1])
-        return TeacherResponse(dist=dist, utterance=Utterance(content, confidence))
+        response = TeacherResponse(dist=dist, utterance=Utterance(content, confidence))
+        self._memo[key] = response
+        return response
 
 
 @dataclass(frozen=True)

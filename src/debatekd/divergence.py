@@ -54,7 +54,12 @@ JSD_GRAD_TIGHT_BOUND = 0.25 + 2.0 / math.sqrt(math.e)
 
 @dataclass(frozen=True)
 class DivergenceKind:
-    """Selector for the divergence used as the distillation objective."""
+    """Selector for the divergence used as the distillation objective.
+
+    beta is JSD's mixture weight; the two KL kinds have none and take the
+    default 0.5 whatever is passed, so equal divergences compare and hash
+    equal.
+    """
 
     name: str
     beta: float = 0.5
@@ -62,7 +67,9 @@ class DivergenceKind:
     def __post_init__(self):
         if self.name not in ("forward_kl", "reverse_kl", "jsd"):
             raise ValueError(f"unknown divergence kind: {self.name!r}")
-        if self.name == "jsd" and not 0.0 < self.beta < 1.0:
+        if self.name != "jsd":
+            object.__setattr__(self, "beta", 0.5)
+        elif not 0.0 < self.beta < 1.0:
             raise ValueError(f"jsd beta must lie strictly inside (0, 1), got {self.beta}")
 
     def __str__(self) -> str:

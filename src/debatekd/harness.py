@@ -49,6 +49,9 @@ _MAX_TEACHER_STEPS = 2 * _MAX_TRAIN_STEPS
 #: round's responses and debate-demo writes each cell to its transcripts.
 #: At this bound a default debate-demo takes about 5 s and writes 10 MB.
 _MAX_DEBATE_CELLS = 10**4
+#: Largest `iterations * max_steps * rounds * num_teachers` of an opad run,
+#: which debates every step: `_MAX_TEACHER_STEPS` at the default two rounds.
+_MAX_TEACHER_QUERIES = 2 * _MAX_TEACHER_STEPS
 
 
 class ConfigError(ValueError):
@@ -144,6 +147,12 @@ class RunConfig:
                 self.train_config()
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
+            if steps * self.rounds * self.num_teachers > _MAX_TEACHER_QUERIES:
+                raise ConfigError(
+                    f"rounds: iterations * max_steps * rounds * num_teachers must be at most "
+                    f"{_MAX_TEACHER_QUERIES}, got {self.iterations} * {self.max_steps} * "
+                    f"{self.rounds} * {self.num_teachers}"
+                )
 
     def build_fixture(self):
         """The run's fixture, built from the fields its builder declares."""

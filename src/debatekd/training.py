@@ -21,6 +21,15 @@ unboxed softmax row with simplex.draw, which draws as Generator.choice does
 without choice's argument checks. Accuracy reads every state's rows at
 once, and the abort check every visited row; only a failed abort check
 scans the steps one by one, to name the step.
+
+What follows a debate and does not read the student is computed once per
+distinct outcome in a run: the teacher weights, memoised by the
+confidence tuple, and the force-decoded targets, by the bytes of the
+post-debate tables and the sampled tool (world, eps and tau_conf are fixed
+for the run). The keys are values, not states or object identities, so a
+hit is exact even for a teacher whose answers vary. With deterministic
+teachers each state has one outcome, and every step still runs its own
+debate, token losses and logit gradients, one call each as before.
 """
 
 from __future__ import annotations
@@ -173,7 +182,7 @@ def force_decode_targets(
     post_dists: tuple[Distribution, ...],
     sampled_tool: int,
     eps: float,
-) -> tuple[list[Distribution], list[Distribution]]:
+) -> tuple[tuple[Distribution, ...], tuple[Distribution, ...]]:
     """Per-position teacher targets from post-debate joint action tables.
 
     Position 1 target is each teacher's tool marginal; position 2 is its
@@ -194,7 +203,7 @@ def force_decode_targets(
         )
     tool_targets = floor_rows(marginals / marginals.sum(axis=1, keepdims=True), eps)
     arg_targets = floor_rows(rows / row_mass, eps)
-    return [Distribution(t) for t in tool_targets], [Distribution(a) for a in arg_targets]
+    return tuple(map(Distribution, tool_targets)), tuple(map(Distribution, arg_targets))
 
 
 def step_token_losses(
@@ -206,6 +215,7 @@ def step_token_losses(
     state: int,
     action: Action,
     eps: float,
+    targets: dict | None = None,
 ) -> tuple[TokenLossReport, TokenLossReport]:
     """Weighted token losses at the action's two positions.
 
@@ -213,9 +223,16 @@ def step_token_losses(
     distributions); the student rows are conditioned on the state and its
     own sampled tool only. Positions are gradient-decoupled: each report's
     gradient lives entirely in its own logit row.
+
+    targets, when given, memoises force_decode_targets for one world and
+    eps, keyed by the bytes of the post-debate tables and the sampled tool.
     """
     tool, _ = action
-    tool_targets, arg_targets = force_decode_targets(world, post_dists, tool, eps)
+    targets = {} if targets is None else targets
+    key = (tuple(p.probs.tobytes() for p in post_dists), tool)
+    if key not in targets:
+        targets[key] = force_decode_targets(world, post_dists, tool, eps)
+    tool_targets, arg_targets = targets[key]
     tool_rep = multi_teacher_token_loss(kind, tool_targets, w, policy.tool_row(state))
     arg_rep = multi_teacher_token_loss(kind, arg_targets, w, policy.arg_row(state, tool))
     if not (np.isfinite(tool_rep.value) and np.isfinite(arg_rep.value)):
@@ -342,6 +359,9 @@ def train(world: ToolWorld, teachers: list[Teacher], config: TrainConfig) -> Tra
     token_grad_inf = np.zeros((config.iterations, world.max_steps, 2))
     weights = np.zeros((config.iterations, world.max_steps, len(teachers)))
     aborted = None
+    # per-outcome memos (see the module docstring)
+    weight_memo: dict[tuple[float, ...], TeacherWeights] = {}
+    target_memo: dict = {}
 
     for it in range(config.iterations):
         x = int(rollout_rng.integers(world.n_states))
@@ -353,7 +373,11 @@ def train(world: ToolWorld, teachers: list[Teacher], config: TrainConfig) -> Tra
 
         for m, (state, action) in enumerate(traj):
             result = run_debate(teachers, state, config.rounds)
-            w = confidence_to_weights(ConfidenceScores(result.confidences, config.tau_conf))
+            confidences = result.confidences
+            if confidences not in weight_memo:
+                scores = ConfidenceScores(confidences, config.tau_conf)
+                weight_memo[confidences] = confidence_to_weights(scores)
+            w = weight_memo[confidences]
 
             tool_rep, arg_rep = step_token_losses(
                 kind=config.kind,
@@ -364,6 +388,7 @@ def train(world: ToolWorld, teachers: list[Teacher], config: TrainConfig) -> Tra
                 state=state,
                 action=action,
                 eps=config.eps,
+                targets=target_memo,
             )
             total_loss += 0.5 * (tool_rep.value + arg_rep.value)
             token_loss[it, m] = tool_rep.value, arg_rep.value

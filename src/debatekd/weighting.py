@@ -10,6 +10,7 @@ per-teacher gradients, and teacher distributions are constants.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +105,7 @@ class TokenLossReport:
 
 def multi_teacher_token_loss(
     kind: DivergenceKind,
-    teacher_dists: list[Distribution],
+    teacher_dists: Sequence[Distribution],
     w: TeacherWeights,
     student_z: LogitVector,
 ) -> TokenLossReport:

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import probability_vectors
 from debatekd.debate import (
     DebateTranscript,
     MockTeacher,
     MockTeacherSpec,
+    TeacherResponse,
     TranscriptParseError,
     Utterance,
     flattened_row,
@@ -157,6 +159,65 @@ class TestMockTeacherSemantics:
         for teacher, expected in zip(fixture.teachers, (55.0, 89.33)):
             resp = teacher.respond(0, [])
             assert resp.utterance.confidence == expected
+
+
+@st.composite
+def memo_calls(draw):
+    """A teacher spec over two states and a run of respond calls whose prior
+    rounds come from a small pool of random tables, so that equal priors
+    (as fresh objects) and different ones both recur."""
+    shape = (draw(st.integers(2, 3)), draw(st.integers(2, 3)))
+    vocab = shape[0] * shape[1]
+    rows = st.builds(Distribution, probability_vectors(min_size=vocab, max_size=vocab))
+    spec = MockTeacherSpec(
+        "t",
+        {0: draw(rows), "s": draw(rows)},
+        shape,
+        revision_rate=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1)),
+        confidence_override=draw(st.none() | st.floats(0, 100)),
+    )
+    pool = draw(st.lists(rows, min_size=1, max_size=4))
+    k = draw(st.integers(1, 3))
+    calls = draw(st.lists(
+        st.tuples(
+            st.sampled_from([0, "s"]),
+            st.none() | st.lists(st.integers(0, len(pool) - 1), min_size=k, max_size=k),
+        ),
+        min_size=1, max_size=12,
+    ))
+    return spec, pool, calls
+
+
+class TestRespondMemo:
+    @settings(max_examples=100, deadline=None)
+    @given(memo_calls())
+    def test_memoised_respond_is_a_fresh_teachers_response(self, case):
+        spec, pool, calls = case
+        teacher = MockTeacher(spec)
+        seen = {}
+        for state, picks in calls:
+            # each call gets new objects, equal in value to the pool's tables
+            prior = [] if picks is None else [[
+                TeacherResponse(Distribution(pool[i].probs.copy()), Utterance((0,), 50.0))
+                for i in picks
+            ]]
+            got = teacher.respond(state, prior)
+            want = MockTeacher(spec).respond(state, prior)
+            assert got.dist.probs.tobytes() == want.dist.probs.tobytes()
+            assert got.utterance == want.utterance
+            key = (state, () if picks is None else tuple(pool[i].probs.tobytes() for i in picks))
+            if key in seen:
+                assert got is seen[key]
+            else:
+                assert all(got is not other for other in seen.values())
+                seen[key] = got
+
+    def test_prior_rounds_before_the_last_do_not_enter_the_key(self):
+        teacher = complementary_fixture().teachers[0]
+        r1 = [t.respond(7, []) for t in complementary_fixture().teachers]
+        r2 = teacher.respond(7, [r1])
+        assert teacher.respond(7, [[r1[1], r1[0]], r1]) is r2
+        assert teacher.respond(7, [r1[::-1]]) is not r2
 
 
 # Per fixture and teacher count (None: the builder's default): each teacher's

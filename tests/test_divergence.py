@@ -56,6 +56,28 @@ class TestKindSelector:
             with pytest.raises(ValueError):
                 jsd_kind(beta)
 
+    @pytest.mark.parametrize("kind", [FORWARD_KL, REVERSE_KL])
+    @pytest.mark.parametrize("beta", [0.3, 0.0, 7.0, float("nan")])
+    def test_kl_kinds_ignore_beta(self, kind, beta):
+        other = DivergenceKind(kind.name, beta)
+        assert other == kind and hash(other) == hash(kind)
+        assert other.beta == 0.5 and str(other) == str(kind)
+        assert len({kind, other}) == 1
+        assert jsd_kind(0.3) != jsd_kind(0.5)
+
+    def test_equal_kl_kinds_take_the_one_kind_path(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        P, Q = rng.dirichlet(np.ones(6), size=(2, 2))
+        want = batch(FORWARD_KL, P, Q)
+
+        def no_mixed(*args):
+            raise AssertionError("rows of one divergence took the mixed path")
+
+        monkeypatch.setattr(divergence, "_mixed", no_mixed)
+        got = batch((FORWARD_KL, DivergenceKind("forward_kl", 0.3)), P, Q)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
     def test_loss_bound_values(self):
         assert jsd_loss_bound(0.5) == pytest.approx(math.log(2), abs=1e-15)
         assert jsd_loss_bound(0.9) == pytest.approx(0.325083, abs=1e-6)

@@ -86,6 +86,12 @@ class TestRunConfig:
             RunConfig.from_dict({"experiment": "opad", "kind": "rev", "eps": 0})
         RunConfig.from_dict({"experiment": "bounds", "kind": "rev", "eps": 0})
 
+    def test_teacher_queries_bounded_at_what_two_rounds_admit(self):
+        RunConfig(experiment="opad", iterations=10**6)
+        with pytest.raises(ConfigError, match=r"^rounds: .* got 1000000 \* 4 \* 3 \* 2$"):
+            RunConfig(experiment="opad", iterations=10**6, rounds=3)
+        RunConfig(experiment="debate-demo", iterations=10**6, rounds=3)
+
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_fixture_builders_read_only_config_fields(self, name):
         fields = {f.name for f in dataclasses.fields(RunConfig)}
@@ -402,13 +408,14 @@ class TestCli:
                       "iterations": 1000000}, "num_teachers"),
             ("debate-demo", {"experiment": "debate-demo", "rounds": 1000000000}, "rounds"),
             ("opad", {"experiment": "opad", "rounds": 5001}, "rounds"),
+            ("opad", {"experiment": "opad", "rounds": 5000}, "rounds"),
         ],
         ids=["not-an-object", "str-seed", "float-iterations", "float-seed",
              "eps-above-inverse-vocab", "out-is-a-file", "opad-teacher-count",
              "debate-demo-teacher-count", "underflowing-conf-temperature",
              "unallocatable-iterations", "unallocatable-max-steps",
              "more-experts-than-letters", "not-json", "unallocatable-teachers",
-             "endless-debate", "debate-past-its-cell-bound"],
+             "endless-debate", "debate-past-its-cell-bound", "too-many-teacher-queries"],
     )
     def test_bad_input_is_named_config_error(self, tmp_path, capsys, experiment, config, field):
         path = tmp_path / "config.json"

@@ -1,11 +1,13 @@
 import copy
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import validator_reference as reference
-from debatekd.debate import run_debate
+from debatekd import training
+from debatekd.debate import MockTeacher, run_debate
 from debatekd.divergence import FORWARD_KL, REVERSE_KL, jsd_kind, logit_gradient
 from debatekd.fixtures import (
     complementary_fixture,
@@ -25,7 +27,7 @@ from debatekd.training import (
     task_accuracy,
     train,
 )
-from debatekd.weighting import TeacherWeights
+from debatekd.weighting import ConfidenceScores, TeacherWeights, confidence_to_weights
 
 
 def teacher_table_hash(teacher) -> str:
@@ -399,6 +401,81 @@ class TestTwoStrategySplice:
             and int(np.argmax(fwd.policy.arg_logits[s, 0])) == 1
         ]
         assert len(spliced_states) >= 1
+
+
+def uncached_train(world, teachers, config):
+    """train()'s per-step loop without its memos: every step debates fresh
+    teachers, weights its confidences and force-decodes its targets."""
+    rng = RngSeed(config.seed).stream("rollout")
+    policy = StudentPolicy.uniform(world)
+    losses, accuracies, token_loss, token_grad_inf, weights = [], [], [], [], []
+    for _ in range(config.iterations):
+        traj = rollout(world, policy, int(rng.integers(world.n_states)), rng)
+        tool_grads, arg_grads, total = {}, {}, 0.0
+        for state, action in traj:
+            fresh = [MockTeacher(t.spec) for t in teachers]
+            result = run_debate(fresh, state, config.rounds)
+            w = confidence_to_weights(ConfidenceScores(result.confidences, config.tau_conf))
+            tool_rep, arg_rep = step_token_losses(
+                config.kind, world, result.post_dists, w, policy, state, action, config.eps
+            )
+            total += 0.5 * (tool_rep.value + arg_rep.value)
+            token_loss.append((tool_rep.value, arg_rep.value))
+            token_grad_inf.append((tool_rep.inf_norm, arg_rep.inf_norm))
+            weights.append(w.weights)
+            key = (state, action[0])
+            tool_grads[state] = tool_grads.get(state, 0.0) + 0.5 * tool_rep.logit_grad
+            arg_grads[key] = arg_grads.get(key, 0.0) + 0.5 * arg_rep.logit_grad
+        for s, grad in tool_grads.items():
+            policy.tool_logits[s] -= config.eta * grad
+        for (s, tool), grad in arg_grads.items():
+            policy.arg_logits[s, tool] -= config.eta * grad
+        losses.append(total)
+        accuracies.append(task_accuracy(policy, world))
+    shape = (config.iterations, world.max_steps, -1)
+    return (np.array(losses), np.array(accuracies), np.reshape(token_loss, shape),
+            np.reshape(token_grad_inf, shape), np.reshape(weights, shape), policy)
+
+
+class TestRunMemos:
+    """train()'s per-outcome memos leave every byte of the run as the
+    uncached loop makes it, and compute each distinct outcome once."""
+
+    @pytest.mark.parametrize("build", [
+        complementary_fixture, two_strategy_fixture,
+        lambda: privileged_gap_fixture(num_teachers=3),
+    ], ids=["complementary", "two-strategy", "privileged-gap-3"])
+    @pytest.mark.parametrize("kind", [jsd_kind(0.5), FORWARD_KL, REVERSE_KL], ids=str)
+    def test_memoised_run_matches_the_uncached_loop_byte_for_byte(self, build, kind, monkeypatch):
+        decoded, weighed = Counter(), Counter()
+        decode, weigh = training.force_decode_targets, training.confidence_to_weights
+
+        def counting_decode(world, post_dists, tool, eps):
+            decoded[tuple(p.probs.tobytes() for p in post_dists), tool] += 1
+            return decode(world, post_dists, tool, eps)
+
+        def counting_weigh(scores):
+            weighed[tuple(scores.scores.tolist())] += 1
+            return weigh(scores)
+
+        fixture = build()
+        config = TrainConfig(kind=kind, iterations=40, seed=6)
+        want = uncached_train(fixture.world, list(fixture.teachers), config)
+        monkeypatch.setattr(training, "force_decode_targets", counting_decode)
+        monkeypatch.setattr(training, "confidence_to_weights", counting_weigh)
+        got = train(fixture.world, list(fixture.teachers), config)
+
+        assert got.aborted is None
+        for a, b in zip(
+            (got.loss_series, got.accuracy_series, got.token_loss, got.token_grad_inf,
+             got.weights, got.policy.tool_logits, got.policy.arg_logits),
+            (*want[:5], want[5].tool_logits, want[5].arg_logits),
+        ):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        # each distinct (outcome, tool) decoded once, each confidence tuple weighed once
+        assert set(decoded.values()) == {1} and set(weighed.values()) == {1}
+        steps = config.iterations * fixture.world.max_steps
+        assert len(decoded) < steps and len(weighed) < steps
 
 
 def reference_task_accuracy(policy, world):
