@@ -2,12 +2,15 @@ import copy
 import hashlib
 from collections import Counter
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import validator_reference as reference
+from conftest import probability_vectors
 from debatekd import training
-from debatekd.debate import MockTeacher, run_debate
+from debatekd.debate import MockTeacher, MockTeacherSpec, run_debate
 from debatekd.divergence import FORWARD_KL, REVERSE_KL, jsd_kind, logit_gradient
 from debatekd.fixtures import (
     complementary_fixture,
@@ -403,14 +406,22 @@ class TestTwoStrategySplice:
         assert len(spliced_states) >= 1
 
 
+def reference_task_accuracy(policy, world):
+    """The per-state argmax_action loop that task_accuracy replaced."""
+    hits = sum(1 for s in range(world.n_states) if policy.argmax_action(s) in world.accepted(s))
+    return hits / world.n_states
+
+
 def uncached_train(world, teachers, config):
-    """train()'s per-step loop without its memos: every step debates fresh
-    teachers, weights its confidences and force-decodes its targets."""
+    """train()'s per-step loop without its memos, frozen as the byte-parity
+    oracle: every step is drawn by reference_rollout, debates fresh
+    teachers, weights its confidences and force-decodes its targets, and
+    accuracy is the per-state reference loop."""
     rng = RngSeed(config.seed).stream("rollout")
     policy = StudentPolicy.uniform(world)
     losses, accuracies, token_loss, token_grad_inf, weights = [], [], [], [], []
     for _ in range(config.iterations):
-        traj = rollout(world, policy, int(rng.integers(world.n_states)), rng)
+        traj = reference_rollout(world, policy, int(rng.integers(world.n_states)), rng)
         tool_grads, arg_grads, total = {}, {}, 0.0
         for state, action in traj:
             fresh = [MockTeacher(t.spec) for t in teachers]
@@ -431,10 +442,22 @@ def uncached_train(world, teachers, config):
         for (s, tool), grad in arg_grads.items():
             policy.arg_logits[s, tool] -= config.eta * grad
         losses.append(total)
-        accuracies.append(task_accuracy(policy, world))
+        accuracies.append(reference_task_accuracy(policy, world))
     shape = (config.iterations, world.max_steps, -1)
     return (np.array(losses), np.array(accuracies), np.reshape(token_loss, shape),
             np.reshape(token_grad_inf, shape), np.reshape(weights, shape), policy)
+
+
+def assert_run_matches_oracle(got, want):
+    """Every array of a train() result byte-equal to the oracle's."""
+    assert got.aborted is None
+    for a, b in zip(
+        (got.loss_series, got.accuracy_series, got.token_loss, got.token_grad_inf,
+         got.weights, got.policy.tool_logits, got.policy.arg_logits),
+        (*want[:5], want[5].tool_logits, want[5].arg_logits),
+    ):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got.final_accuracy == want[1][-1]
 
 
 class TestRunMemos:
@@ -465,23 +488,59 @@ class TestRunMemos:
         monkeypatch.setattr(training, "confidence_to_weights", counting_weigh)
         got = train(fixture.world, list(fixture.teachers), config)
 
-        assert got.aborted is None
-        for a, b in zip(
-            (got.loss_series, got.accuracy_series, got.token_loss, got.token_grad_inf,
-             got.weights, got.policy.tool_logits, got.policy.arg_logits),
-            (*want[:5], want[5].tool_logits, want[5].arg_logits),
-        ):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert_run_matches_oracle(got, want)
         # each distinct (outcome, tool) decoded once, each confidence tuple weighed once
         assert set(decoded.values()) == {1} and set(weighed.values()) == {1}
         steps = config.iterations * fixture.world.max_steps
         assert len(decoded) < steps and len(weighed) < steps
 
 
-def reference_task_accuracy(policy, world):
-    """The per-state argmax_action loop that task_accuracy replaced."""
-    hits = sum(1 for s in range(world.n_states) if policy.argmax_action(s) in world.accepted(s))
-    return hits / world.n_states
+@st.composite
+def small_runs(draw):
+    """A small random ToolWorld, MockTeacherSpecs over it and a TrainConfig.
+
+    max_steps may exceed n_states, so that a state recurs within a
+    trajectory; accepted sets, revision rates and confidence overrides
+    (ties included) vary, as do the kind and seed.
+    """
+    n_states, n_tools, n_args = draw(st.integers(1, 6)), draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    actions = st.tuples(st.integers(0, n_tools - 1), st.integers(0, n_args - 1))
+    correct = {s: draw(actions) for s in range(n_states)}
+    accepted = None
+    if draw(st.booleans()):
+        accepted = {s: frozenset({correct[s], *draw(st.lists(actions, max_size=2))})
+                    for s in range(n_states)}
+    world = ToolWorld(n_states=n_states, n_tools=n_tools, n_args=n_args, correct_action=correct,
+                      accepted_actions=accepted, max_steps=draw(st.integers(1, 8)))
+    vocab = n_tools * n_args
+    specs = [
+        MockTeacherSpec(
+            name=f"t{k}",
+            base_table={s: Distribution(draw(probability_vectors(min_size=vocab, max_size=vocab)))
+                        for s in range(n_states)},
+            action_shape=(n_tools, n_args),
+            revision_rate=draw(st.sampled_from([0.0, 0.5, 1.0])),
+            confidence_override=draw(st.sampled_from([None, 40.0, 90.0])),
+        )
+        for k in range(draw(st.integers(1, 3)))
+    ]
+    config = TrainConfig(
+        kind=draw(st.sampled_from([jsd_kind(0.5), FORWARD_KL, REVERSE_KL])),
+        rounds=draw(st.integers(1, 2)),
+        iterations=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return world, specs, config
+
+
+class TestRandomWorldsAgainstTheOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(small_runs())
+    def test_train_matches_the_frozen_per_step_oracle(self, run):
+        world, specs, config = run
+        want = uncached_train(world, [MockTeacher(spec) for spec in specs], config)
+        got = train(world, [MockTeacher(spec) for spec in specs], config)
+        assert_run_matches_oracle(got, want)
 
 
 def reference_first_unusable_step(policy, traj):
