@@ -107,11 +107,18 @@ def jsd_loss_bound(beta: float) -> float:
 
 @dataclass(frozen=True)
 class GradientReport:
-    """Loss value plus its gradient with respect to student logits."""
+    """Loss value plus its gradient with respect to student logits.
+
+    inf_norm, max |logit_grad|, is taken when read: the multi-teacher loss
+    reads only the norm of its weighted sum, never its teachers'.
+    """
 
     value: float
     logit_grad: np.ndarray
-    inf_norm: float
+
+    @property
+    def inf_norm(self) -> float:
+        return float(np.abs(self.logit_grad).max())
 
     @property
     def is_finite(self) -> bool:
@@ -298,9 +305,10 @@ def divergence_value(kind: DivergenceKind, p: Distribution, q: Distribution) -> 
 
 def logit_gradient(kind: DivergenceKind, p: Distribution, z: LogitVector) -> GradientReport:
     """Closed-form gradient of divergence(p, softmax(z)) in the logits z;
-    see `batch` for the per-kind forms."""
-    values, g = batch(kind, p.probs[None], softmax_rows(z.logits[None]))
-    return GradientReport(float(values[0]), g[0], float(np.abs(g).max()))
+    see `batch` for the per-kind forms. The student row is z's own
+    softmax_row, computed once per LogitVector."""
+    values, g = batch(kind, p.probs[None], z.softmax_row[None])
+    return GradientReport(float(values[0]), g[0])
 
 
 def finite_difference_gradient(

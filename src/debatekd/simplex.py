@@ -65,9 +65,15 @@ class Distribution:
 
 @dataclass(frozen=True)
 class LogitVector:
-    """Finite pre-softmax logits whose softmax is strictly positive."""
+    """Finite pre-softmax logits whose softmax is strictly positive.
+
+    softmax_row is softmax_rows(logits), read-only and computed once at
+    construction, so that every divergence taken at these logits (the K
+    teacher gradients of one token loss) shares one softmax.
+    """
 
     logits: np.ndarray
+    softmax_row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         logits = np.array(self.logits, dtype=np.float64)
@@ -77,7 +83,10 @@ class LogitVector:
             raise ValueError(f"vocab_size must be >= 2, got {logits.size}")
         validate_logits(logits)
         logits.flags.writeable = False
+        row = softmax_rows(logits)
+        row.flags.writeable = False
         object.__setattr__(self, "logits", logits)
+        object.__setattr__(self, "softmax_row", row)
 
     @property
     def vocab_size(self) -> int:
@@ -145,7 +154,7 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 def softmax(z: LogitVector) -> Distribution:
     """Softmax with max-subtraction; shift invariant and strictly positive."""
-    return Distribution(softmax_rows(z.logits))
+    return Distribution(z.softmax_row)
 
 
 def xlogx(x: np.ndarray) -> np.ndarray:
@@ -162,27 +171,31 @@ def entropy(p: Distribution) -> float:
     return float(-xlogx(p.probs).sum())
 
 
-def draw(probs: np.ndarray, rng: np.random.Generator, size: int | tuple | None = None):
-    """Inverse-CDF draw(s) of token ids from the probability vector probs;
-    unvalidated.
+def draw(probs: np.ndarray, u):
+    """Inverse-CDF token ids from probability rows (last axis) at the
+    uniforms u; unvalidated.
 
-    The same draws, and the same generator state afterwards, as
-    rng.choice(probs.size, size=size, p=probs): the cumulative sum divided
-    by its last entry, searched (side="right") for rng.random(size), so a
-    zero entry is never drawn. An int for size None, else an int64 array of
-    that shape; choice's argument checks are left to the caller.
+    Each row's cumulative sum is divided by its last entry, and the token is
+    the count of its entries at or below u: searchsorted(side="right") on a
+    non-decreasing cdf, so a zero entry is never drawn. u broadcasts against
+    the leading axes of probs: one uniform per row, or any number of them
+    for one row. With u = rng.random(size), one row gives the draws of
+    rng.choice(probs.size, size=size, p=probs), and the same generator state
+    afterwards, without choice's argument checks; rows of one width reduce
+    as one row does, so each row draws as it would alone. An int for a
+    scalar u, else an int64 array of the broadcast shape.
     """
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
-    idx = cdf.searchsorted(rng.random(size), side="right")
-    return int(idx) if size is None else idx
+    cdf = np.cumsum(probs, axis=-1)
+    cdf /= cdf[..., -1:]
+    idx = (cdf <= np.asarray(u)[..., None]).sum(axis=-1)
+    return int(idx) if idx.ndim == 0 else idx
 
 
 def sample(p: Distribution, rng: np.random.Generator, size: int | tuple | None = None):
-    """Draw token id(s) from p by `draw` on p renormalised, which draws as
-    rng.choice(p.vocab_size, size=size, p=p.probs / p.probs.sum()) does.
-    Deterministic given the generator state."""
-    return draw(p.probs / p.probs.sum(), rng, size)
+    """Draw token id(s) from p by `draw` on p renormalised at rng.random(size),
+    which draws as rng.choice(p.vocab_size, size=size, p=p.probs / p.probs.sum())
+    does. Deterministic given the generator state."""
+    return draw(p.probs / p.probs.sum(), rng.random(size))
 
 
 def floor_rows(probs: np.ndarray, eps: float) -> np.ndarray:

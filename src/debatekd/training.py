@@ -16,11 +16,15 @@ Between the debate and the loss the step works on plain arrays: the K
 post-debate tables are stacked, the tool marginals and the arg rows of the
 sampled tool are taken by indexing and floored row-wise, and each target is
 wrapped in a validated Distribution once, because the divergence takes one.
-Sampling checks each logit row as a LogitVector would, then draws from its
-unboxed softmax row with simplex.draw, which draws as Generator.choice does
-without choice's argument checks. Accuracy reads every state's rows at
-once, and the abort check every visited row; only a failed abort check
-scans the steps one by one, to name the step.
+A trajectory is drawn in one piece: the transition ignores the action, so
+its states are known before any draw, and one rng.random call gives all
+2 * max_steps uniforms. The stacked tool rows are checked as LogitVectors
+would be and drawn at once from their renormalised softmax cdfs, then the
+arg rows under the sampled tools the same way; the tokens and the
+generator state are those of one simplex.sample per token. Accuracy reads
+every state's rows at once against the world's accepted table, and the
+abort check every visited row; only a failed check scans the steps one by
+one, to name the step.
 
 What follows a debate and does not read the student is computed once per
 distinct outcome in a run: the teacher weights, memoised by the
@@ -28,13 +32,18 @@ confidence tuple, and the force-decoded targets, by the bytes of the
 post-debate tables and the sampled tool (world, eps and tau_conf are fixed
 for the run). The keys are values, not states or object identities, so a
 hit is exact even for a teacher whose answers vary. With deterministic
-teachers each state has one outcome, and every step still runs its own
-debate, token losses and logit gradients, one call each as before.
+teachers each state has one outcome, yet every step still runs its own
+debate, its two token losses and K logit gradients per token loss, one
+call each: the benchmark's traced counts pin that call structure
+(bench/test_bench.py). The K gradients of a token loss share the one
+softmax of its student LogitVector, and only the weighted sum's gradient
+inf-norm is taken.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,8 +77,10 @@ class ToolWorld:
 
     correct_action gives the canonical answer per state; accepted_actions
     optionally widens it to a set of equally valid answers (defaults to the
-    singleton), which is what makes multi-strategy worlds expressible.
-    The transition ignores the action: states advance cyclically.
+    singleton), which is what makes multi-strategy worlds expressible. Both
+    must cover every state with in-range actions; accepted_table holds the
+    accepted sets as one read-only boolean (n_states, n_tools, n_args)
+    array. The transition ignores the action: states advance cyclically.
     """
 
     n_states: int
@@ -78,6 +89,7 @@ class ToolWorld:
     correct_action: dict[int, Action]
     accepted_actions: dict[int, frozenset[Action]] | None = None
     max_steps: int = 4
+    accepted_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_states < 1 or self.n_tools < 2 or self.n_args < 2:
@@ -88,6 +100,16 @@ class ToolWorld:
             tool, arg = self.correct_action[s]
             if not (0 <= tool < self.n_tools and 0 <= arg < self.n_args):
                 raise ValueError(f"correct_action[{s}] = {(tool, arg)} out of range")
+        table = np.zeros((self.n_states, self.n_tools, self.n_args), dtype=bool)
+        for s in range(self.n_states):
+            if self.accepted_actions is not None and s not in self.accepted_actions:
+                raise ValueError(f"accepted_actions missing state {s}")
+            for tool, arg in self.accepted(s):
+                if not (0 <= tool < self.n_tools and 0 <= arg < self.n_args):
+                    raise ValueError(f"accepted_actions[{s}] holds {(tool, arg)} out of range")
+                table[s, tool, arg] = True
+        table.flags.writeable = False
+        object.__setattr__(self, "accepted_table", table)
 
     def accepted(self, state: int) -> frozenset[Action]:
         if self.accepted_actions is not None:
@@ -96,6 +118,11 @@ class ToolWorld:
 
     def next_state(self, state: int, action: Action) -> int:
         return (state + 1) % self.n_states
+
+    def states_from(self, x: int) -> np.ndarray:
+        """The max_steps states a trajectory from x visits, in step order;
+        known before any draw, since next_state ignores the action."""
+        return (x + np.arange(self.max_steps)) % self.n_states
 
     def flat_action(self, action: Action) -> int:
         return action[0] * self.n_args + action[1]
@@ -143,19 +170,42 @@ class StudentPolicy:
     def arg_row(self, state: int, tool: int) -> LogitVector:
         return LogitVector(self.arg_logits[state, tool])
 
+    def sample_steps(self, states: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (tools, args) drawn at each of states, in step order, from the
+        uniforms u: 2 per step, the tool's then the arg's.
+
+        The tool rows are stacked, checked as LogitVectors would be and
+        drawn at once from their renormalised softmax rows by simplex.draw;
+        then the arg row under each sampled tool is gathered and drawn the
+        same way. Each token and its uniform
+        are those of simplex.sample on softmax(LogitVector(row)), one step
+        at a time. A rejected row raises the ValueError, message included,
+        that a LogitVector of it would, and the first rejected row in step
+        order (tool row m, then arg row m) is the one named: a stack is
+        rejected exactly when one of its rows is, and only then are the
+        steps scanned in order.
+        """
+        tool_rows = self.tool_logits[states]
+        try:
+            validate_logits(tool_rows)
+            tools = _draw_rows(tool_rows, u[0::2])
+            arg_rows = self.arg_logits[states, tools]
+            validate_logits(arg_rows)
+        except ValueError:
+            pass
+        else:
+            return tools, _draw_rows(arg_rows, u[1::2])
+        for m, state in enumerate(states.tolist()):
+            validate_logits(tool_rows[m])
+            validate_logits(self.arg_logits[state, _draw_rows(tool_rows[m], u[2 * m])])
+        raise AssertionError("a stacked check rejected rows that each pass alone")
+
     def sample_action(self, state: int, rng: np.random.Generator) -> Action:
-        """Draw the tool, then the arg under it. Each row is checked as a
-        LogitVector would be, then simplex.draw on its renormalised softmax
-        gives the token, and the generator state, that simplex.sample on
-        softmax(LogitVector(row)) would."""
-        row = self.tool_logits[state]
-        validate_logits(row)
-        q = softmax_rows(row)
-        tool = draw(q / q.sum(), rng)
-        row = self.arg_logits[state, tool]
-        validate_logits(row)
-        q = softmax_rows(row)
-        return (tool, draw(q / q.sum(), rng))
+        """Draw the tool, then the arg under it: sample_steps at one state,
+        from rng.random(2). Both uniforms are drawn before a row is
+        checked, so a rejected row leaves rng past both."""
+        tools, args = self.sample_steps(np.array([state]), rng.random(2))
+        return (int(tools[0]), int(args[0]))
 
     def argmax_action(self, state: int) -> Action:
         tool = int(np.argmax(self.tool_logits[state]))
@@ -163,18 +213,30 @@ class StudentPolicy:
         return (tool, arg)
 
 
+def _draw_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One token id per logit row (last axis) at that row's uniform in u,
+    by simplex.draw on the row's renormalised softmax; unvalidated."""
+    q = softmax_rows(rows)
+    return draw(q / q.sum(axis=-1, keepdims=True), u)
+
+
 def rollout(
     world: ToolWorld, policy: StudentPolicy, x: int, rng: np.random.Generator
 ) -> tuple[tuple[int, Action], ...]:
     """Sample exactly max_steps actions on-policy from the start state x;
-    returns the (state, sampled action) of every step."""
-    steps = []
-    state = x
-    for _ in range(world.max_steps):
-        action = policy.sample_action(state, rng)
-        steps.append((state, action))
-        state = world.next_state(state, action)
-    return tuple(steps)
+    returns the (state, sampled action) of every step.
+
+    The visited states are known before any draw (ToolWorld.states_from),
+    so all 2 * max_steps uniforms come from one rng.random call and the
+    steps are drawn at once by policy.sample_steps: the same tokens, and
+    the same generator state afterwards, as a draw per token. A rejected
+    row raises as sample_steps says, with rng past all the uniforms (a draw
+    per token stops before the rejected row's). train() never rolls out a
+    rejected row: its abort check runs first.
+    """
+    states = world.states_from(x)
+    tools, args = policy.sample_steps(states, rng.random(2 * world.max_steps))
+    return tuple(zip(states.tolist(), zip(tools.tolist(), args.tolist())))
 
 
 def force_decode_targets(
@@ -235,7 +297,7 @@ def step_token_losses(
     tool_targets, arg_targets = targets[key]
     tool_rep = multi_teacher_token_loss(kind, tool_targets, w, policy.tool_row(state))
     arg_rep = multi_teacher_token_loss(kind, arg_targets, w, policy.arg_row(state, tool))
-    if not (np.isfinite(tool_rep.value) and np.isfinite(arg_rep.value)):
+    if not (math.isfinite(tool_rep.value) and math.isfinite(arg_rep.value)):
         offenders = tool_rep.offending_teachers + arg_rep.offending_teachers
         raise ValueError(
             f"infinite {kind.name} loss at state {state} (teachers {offenders}); "
@@ -299,16 +361,13 @@ def task_accuracy(policy: StudentPolicy, world: ToolWorld) -> float:
 
     Argmax ties break toward the lowest token id. Every state's tool and
     then arg is one argmax over the stacked rows, as argmax_action takes
-    them one state at a time.
+    them one state at a time, and the hits are read off
+    world.accepted_table.
     """
-    n = world.n_states
-    tools = policy.tool_logits[:n].argmax(axis=1)
-    args = policy.arg_logits[np.arange(n), tools].argmax(axis=1)
-    hits = sum(
-        1 for s, action in enumerate(zip(tools.tolist(), args.tolist()))
-        if action in world.accepted(s)
-    )
-    return hits / world.n_states
+    states = np.arange(world.n_states)
+    tools = policy.tool_logits[states].argmax(axis=1)
+    args = policy.arg_logits[states, tools].argmax(axis=1)
+    return int(world.accepted_table[states, tools, args].sum()) / world.n_states
 
 
 def _first_unusable_step(

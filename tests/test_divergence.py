@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mp_reference
-from conftest import probability_vectors
+from conftest import logit_vectors, probability_vectors
 from debatekd import divergence
 from debatekd.divergence import (
     FORWARD_KL,
@@ -191,6 +191,28 @@ class TestLogitGradient:
     def test_vocab_mismatch_rejected(self):
         with pytest.raises(ValueError, match="vocab"):
             logit_gradient(FORWARD_KL, Distribution.uniform(2), LogitVector(np.zeros(3)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_teachers_sharing_one_student_row_match_the_kernel(self, data):
+        """K teachers at one LogitVector read its one softmax row: each report
+        is byte-equal to the kernel at softmax_rows(z.logits[None]), the row
+        is read-only, and inf_norm is max |logit_grad| taken when read."""
+        z = LogitVector(data.draw(logit_vectors()))
+        kind = data.draw(st.sampled_from(ALL_KINDS))
+        student = softmax_rows(z.logits[None])
+        assert z.softmax_row.tobytes() == student[0].tobytes()
+        assert not z.softmax_row.flags.writeable
+        for _ in range(data.draw(st.integers(1, 3))):
+            vocab = z.vocab_size
+            p = Distribution(data.draw(probability_vectors(vocab, vocab, min_entry=0.0)))
+            rep = logit_gradient(kind, p, z)
+            values, g = batch(kind, p.probs[None], student)
+            assert np.float64(rep.value).tobytes() == values[0].tobytes()
+            assert rep.logit_grad.tobytes() == g[0].tobytes()
+            assert np.float64(rep.inf_norm).tobytes() == np.float64(np.abs(g).max()).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            z.softmax_row[0] = 0.5
 
 
 @st.composite

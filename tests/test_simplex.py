@@ -323,7 +323,7 @@ class TestDrawMatchesGeneratorChoice:
         q = softmax_rows(z)
         ours, ref = RngSeed(seed).stream("d"), RngSeed(seed).stream("d")
         for _ in range(4):
-            assert_same_draws(simplex.draw(q, ours, size), ref.choice(vocab, size=size, p=q))
+            assert_same_draws(simplex.draw(q, ours.random(size)), ref.choice(vocab, size=size, p=q))
         assert ours.bit_generator.state == ref.bit_generator.state
 
     @settings(max_examples=150)
@@ -340,11 +340,8 @@ class TestDrawMatchesGeneratorChoice:
         assert ours.bit_generator.state == ref.bit_generator.state
 
     def test_uniforms_on_the_cdf_steps_skip_zero_entries(self):
-        class Steps:
-            """Generator stand-in whose uniforms sit exactly on the cdf's steps."""
-
-            def random(self, size=None):
-                return np.array([0.0, 0.25, 0.75])
-
         probs = np.array([0.0, 0.25, 0.0, 0.5, 0.25])  # cdf 0, .25, .25, .75, 1
-        np.testing.assert_array_equal(simplex.draw(probs, Steps(), 3), [1, 3, 4])
+        steps = np.array([0.0, 0.25, 0.75])  # uniforms exactly on the cdf's steps
+        np.testing.assert_array_equal(simplex.draw(probs, steps), [1, 3, 4])
+        # stacked copies of the row, one uniform each, draw as the row does
+        np.testing.assert_array_equal(simplex.draw(np.tile(probs, (3, 1)), steps), [1, 3, 4])

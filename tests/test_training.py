@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import re
 from collections import Counter
 
 import hypothesis.strategies as st
@@ -109,6 +110,30 @@ class TestToolWorld:
         world = simple_world()
         assert world.accepted(0) == frozenset({world.correct_action[0]})
 
+    def test_accepted_actions_must_cover_every_state(self):
+        # before the check, this world failed mid-run in task_accuracy as KeyError: 1
+        with pytest.raises(ValueError, match=r"^accepted_actions missing state 1$"):
+            ToolWorld(n_states=2, n_tools=2, n_args=2, correct_action={0: (0, 0), 1: (1, 1)},
+                      accepted_actions={0: frozenset({(0, 0)})})
+
+    @pytest.mark.parametrize("action", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+    def test_accepted_actions_must_be_in_range(self, action):
+        # before the check, an out-of-range action was silently never matched
+        message = f"accepted_actions[1] holds {action} out of range"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ToolWorld(n_states=2, n_tools=2, n_args=2, correct_action={0: (0, 0), 1: (1, 1)},
+                      accepted_actions={0: frozenset({(0, 0)}), 1: frozenset({(1, 1), action})})
+
+    @pytest.mark.parametrize("world", [simple_world(n_states=7, n_tools=3, n_args=2),
+                                       two_strategy_fixture().world], ids=["simple", "two-strategy"])
+    def test_accepted_table_holds_the_accepted_sets(self, world):
+        table = world.accepted_table
+        assert table.shape == (world.n_states, world.n_tools, world.n_args)
+        assert not table.flags.writeable
+        assert {(s, (t, a)) for s, t, a in zip(*np.nonzero(table))} == {
+            (s, action) for s in range(world.n_states) for action in world.accepted(s)
+        }
+
     def test_flatten_roundtrip(self):
         world = simple_world()
         for tool in range(world.n_tools):
@@ -166,6 +191,76 @@ class TestRollout:
         policy.tool_logits[0] = row
         rng = RngSeed(0).stream("r")
         assert raised(policy.sample_action, 0, rng) == raised(LogitVector, np.array(row))
+
+
+BAD_ROWS = {"nan": [0.0, np.nan, 1.0], "inf": [0.0, np.inf, 1.0], "spread": [0.0, 701.0, 1.0]}
+
+
+def healthy_policy(n_states, seed=0):
+    """Tool rows favouring tool 0 by 50 nats; all rows valid."""
+    rng = np.random.default_rng(seed)
+    policy = StudentPolicy(tool_logits=rng.normal(size=(n_states, 3)),
+                           arg_logits=rng.normal(size=(n_states, 3, 3)))
+    policy.tool_logits[:, 0] += 50.0
+    return policy
+
+
+class TestRolloutRejectsInStepOrder:
+    """rollout raises what the per-step reference raises: the first rejected
+    row in step order (tool row m, then arg row m) is the one named."""
+
+    def assert_same_rejection(self, world, policy, x=0):
+        ours, ref = RngSeed(3).stream("r"), RngSeed(3).stream("r")
+        got = raised(rollout, world, policy, x, ours)
+        assert got == raised(reference_rollout, world, policy, x, ref)
+        # the generator stands past all 2 * max_steps uniforms
+        drawn = RngSeed(3).stream("r")
+        drawn.random(2 * world.max_steps)
+        assert ours.bit_generator.state == drawn.bit_generator.state
+        return got
+
+    @pytest.mark.parametrize("bad", list(BAD_ROWS))
+    @pytest.mark.parametrize("row", ["tool", "arg"])
+    @pytest.mark.parametrize("step", range(5))
+    def test_each_bad_row_at_each_step(self, bad, row, step):
+        world = simple_world(n_states=4, n_tools=3, n_args=3, max_steps=5)
+        policy = healthy_policy(4)
+        state = step % 4  # step 4 revisits state 0, whose rows step 0 reads
+        if row == "tool":
+            policy.tool_logits[state] = BAD_ROWS[bad]
+        else:
+            policy.arg_logits[state, :] = BAD_ROWS[bad]
+        got = self.assert_same_rejection(world, policy)
+        assert got == raised(LogitVector, np.array(BAD_ROWS[bad]))
+
+    def test_an_arg_row_at_step_0_before_a_tool_row_at_step_2(self):
+        world = simple_world(n_states=4, n_tools=3, n_args=3, max_steps=4)
+        policy = healthy_policy(4)
+        policy.arg_logits[0, :] = BAD_ROWS["spread"]
+        policy.tool_logits[2] = BAD_ROWS["nan"]
+        # the tool stack alone would name the NaN of step 2
+        assert "spread 701.0" in self.assert_same_rejection(world, policy)
+
+    @pytest.mark.parametrize("first, second", [("tool", "tool"), ("tool", "arg"),
+                                               ("arg", "tool"), ("arg", "arg")])
+    def test_two_spreads_name_the_first_in_step_order(self, first, second):
+        world = simple_world(n_states=4, n_tools=3, n_args=3, max_steps=4)
+        policy = healthy_policy(4)
+        for step, row, spread in [(1, first, 720.0), (3, second, 800.0)]:
+            if row == "tool":
+                policy.tool_logits[step] = [0.0, spread, 1.0]
+            else:
+                policy.arg_logits[step, :] = [0.0, spread, 1.0]
+        # a stacked check alone would name the largest spread, 800
+        assert "spread 720.0" in self.assert_same_rejection(world, policy)
+
+    def test_a_bad_arg_row_under_an_unsampled_tool_is_never_read(self):
+        world = simple_world(n_states=4, n_tools=3, n_args=3, max_steps=4)
+        policy = healthy_policy(4)
+        policy.arg_logits[:, 1:] = np.nan  # tool 0 is drawn with probability 1 - 1e-21
+        ours, ref = RngSeed(3).stream("r"), RngSeed(3).stream("r")
+        assert rollout(world, policy, 0, ours) == reference_rollout(world, policy, 0, ref)
+        assert ours.bit_generator.state == ref.bit_generator.state
 
 
 class TestTaskAccuracy:
