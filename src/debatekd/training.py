@@ -177,13 +177,13 @@ class StudentPolicy:
         The tool rows are stacked, checked as LogitVectors would be and
         drawn at once from their renormalised softmax rows by simplex.draw;
         then the arg row under each sampled tool is gathered and drawn the
-        same way. Each token and its uniform
-        are those of simplex.sample on softmax(LogitVector(row)), one step
-        at a time. A rejected row raises the ValueError, message included,
-        that a LogitVector of it would, and the first rejected row in step
-        order (tool row m, then arg row m) is the one named: a stack is
-        rejected exactly when one of its rows is, and only then are the
-        steps scanned in order.
+        same way. Each token is the one simplex.sample would draw from
+        softmax(LogitVector(row)) at the same uniform, one step at a time.
+        A rejected row raises the ValueError, message included, that a
+        LogitVector of it would, and the first rejected row in step order
+        (tool row m, then arg row m) is the one named: a stack is rejected
+        exactly when one of its rows is, and only then are the steps
+        scanned in order.
         """
         tool_rows = self.tool_logits[states]
         try:
