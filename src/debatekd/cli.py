@@ -14,39 +14,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desk-scale debate-distillation experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    runp = sub.add_parser("run", help="execute one named experiment")
+    # An absent flag leaves no attribute, so the parsed flags are the overrides.
+    runp = sub.add_parser("run", help="execute one named experiment",
+                          argument_default=argparse.SUPPRESS)
     runp.add_argument("experiment", choices=EXPERIMENTS)
     runp.add_argument("--config", help="JSON config file (flags override it)")
     runp.add_argument("--seed", type=int, help="master seed")
     runp.add_argument("--kind", help="divergence: fwd | rev | jsd:<beta>")
-    runp.add_argument("--out", help="output directory")
+    runp.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
     runp.add_argument("--fixture", help="mock scenario for opad / debate-demo")
     runp.add_argument("--iterations", type=int, help="training iterations / probe trials")
     return parser
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    out = {"experiment": args.experiment}
-    if args.seed is not None:
-        out["seed"] = args.seed
-    if args.kind is not None:
-        out["kind"] = args.kind
-    if args.out is not None:
-        out["out_dir"] = args.out
-    if args.fixture is not None:
-        out["fixture"] = args.fixture
-    if args.iterations is not None:
-        out["iterations"] = args.iterations
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    overrides = vars(build_parser().parse_args(argv))
+    del overrides["command"]
+    path = overrides.pop("config", None)
     try:
-        if args.config:
-            config = RunConfig.from_file(args.config, overrides=_overrides(args))
+        if path:
+            config = RunConfig.from_file(path, overrides=overrides)
         else:
-            config = RunConfig.from_dict(_overrides(args))
+            config = RunConfig.from_dict(overrides)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
+import math
 import os
 import sys
 import tempfile
@@ -36,30 +37,44 @@ EXIT_CONFIG_ERROR = 1
 EXIT_NUMERIC_ABORT = 2
 
 
-#: Largest `iterations`: training and the bounds sweep preallocate their
-#: per-iteration records, so a larger count is refused before the run starts.
-_MAX_ITERATIONS = 10**6
-#: Largest `iterations * max_steps` of an opad run, whose record is per step:
-#: the most that `_MAX_ITERATIONS` admits at the default `max_steps` of 4.
-_MAX_TRAIN_STEPS = 4 * _MAX_ITERATIONS
-#: Largest `iterations * max_steps * num_teachers` of an opad run, which
-#: records every teacher's weight per step: `_MAX_TRAIN_STEPS` at two teachers.
-_MAX_TEACHER_STEPS = 2 * _MAX_TRAIN_STEPS
-#: Largest `rounds * num_teachers` of a debate: `run_debate` keeps every
-#: round's responses and debate-demo writes each cell to its transcripts.
-#: At this bound a default debate-demo takes about 5 s and writes 10 MB.
-_MAX_DEBATE_CELLS = 10**4
-#: Largest `iterations * max_steps * rounds * num_teachers` of an opad run,
-#: which debates every step: `_MAX_TEACHER_STEPS` at the default two rounds.
-_MAX_TEACHER_QUERIES = 2 * _MAX_TEACHER_STEPS
-
-
 class ConfigError(ValueError):
     """Invalid run configuration; message names the offending field."""
 
 
 #: Value types accepted for each RunConfig field annotation; bools never pass.
-_FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float), "DivergenceKind": DivergenceKind}
+
+#: The (lowest, highest) value of each numeric field, both inclusive. Every
+#: value must also be finite.
+_RANGES = {
+    "num_teachers": (1, math.inf),
+    "rounds": (1, math.inf),
+    "revision_rate": (0, 1),
+    # A 100-point confidence spread is a weight-logit spread of 1/tau; past
+    # the softmax ceiling the least confident teacher's weight underflows.
+    "conf_temperature": (1 / _MAX_LOGIT_SPREAD, math.inf),
+    "eps": (0, math.inf),
+    "eta": (0, math.inf),
+    "max_steps": (1, math.inf),
+    # training and the bounds sweep preallocate their per-iteration records
+    "iterations": (1, 10**6),
+    # the master seed is one 64-bit unsigned word
+    "seed": (0, 2**64 - 1),
+}
+
+#: (experiments, fields, largest product, field the message names): in those
+#: experiments the product of the fields' values may not exceed the bound.
+_PRODUCTS = (
+    # opad records every step: what 10^6 iterations admit at max_steps 4
+    (("opad",), ("iterations", "max_steps"), 4 * 10**6, "max_steps"),
+    # opad records every teacher's weight per step: the bound above at K = 2
+    (("opad",), ("iterations", "max_steps", "num_teachers"), 8 * 10**6, "num_teachers"),
+    # run_debate keeps every round's responses and debate-demo writes each cell
+    # to its transcripts; at the bound a default debate-demo takes 5 s, 10 MB
+    (("opad", "debate-demo"), ("rounds", "num_teachers"), 10**4, "rounds"),
+    # opad debates every step, each cell a teacher query: the bound above at R = 2
+    (("opad",), ("iterations", "max_steps", "rounds", "num_teachers"), 16 * 10**6, "rounds"),
+)
 
 
 @dataclass
@@ -92,51 +107,33 @@ class RunConfig:
             types = _FIELD_TYPES.get(f.type)
             if types and (isinstance(value, bool) or not isinstance(value, types)):
                 raise ConfigError(f"{f.name}: expected {f.type}, got {value!r}")
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(
-                f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}"
-            )
-        if not isinstance(self.kind, DivergenceKind):
-            raise ConfigError("kind must be a DivergenceKind")
-        for name in ("num_teachers", "rounds", "max_steps", "iterations"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.iterations > _MAX_ITERATIONS:
-            raise ConfigError(f"iterations: must be at most {_MAX_ITERATIONS}, got {self.iterations}")
-        if not 0 <= self.revision_rate <= 1:
-            raise ConfigError(f"revision_rate must lie in [0, 1], got {self.revision_rate}")
-        # A 100-point confidence spread is a weight-logit spread of 1/tau; past
-        # the softmax ceiling the least confident teacher's weight underflows.
-        if not self.conf_temperature >= 1.0 / _MAX_LOGIT_SPREAD:
-            raise ConfigError(
-                f"conf_temperature: must be at least 1/{_MAX_LOGIT_SPREAD:g} so that every "
-                f"teacher weight stays positive, got {self.conf_temperature}"
-            )
-        if not self.eps >= 0:
-            raise ConfigError(f"eps must be non-negative, got {self.eps}")
-        if not self.eta >= 0:
-            raise ConfigError(f"eta must be non-negative, got {self.eta}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+            if f.name not in _RANGES:
+                continue
+            lo, hi = _RANGES[f.name]
+            try:
+                # ints compare exactly; NaN fails every comparison, inf the last
+                number = value if f.type == "int" else float(value)
+                usable = lo <= number <= hi and number < math.inf
+            except OverflowError:
+                usable = False
+            if not usable:
+                span = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+                raise ConfigError(f"{f.name}: must be a finite number {span}, got {value!r}")
+        for experiments, names, largest, named in _PRODUCTS:
+            values = [getattr(self, name) for name in names]
+            if self.experiment in experiments and math.prod(values) > largest:
+                raise ConfigError(f"{named}: {' * '.join(names)} must be at most {largest}, "
+                                  f"got {' * '.join(map(str, values))}")
         from .fixtures import FIXTURES
 
-        if self.fixture not in FIXTURES:
-            raise ConfigError(f"fixture must be one of {sorted(FIXTURES)}, got {self.fixture!r}")
+        for name, choices in (("experiment", EXPERIMENTS), ("fixture", sorted(FIXTURES))):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name}: must be one of {choices}, got {getattr(self, name)!r}")
         if self.experiment not in ("opad", "debate-demo"):
             return
         if self.experiment == "debate-demo" and self.num_teachers > MAX_LETTERED_EXPERTS:
             raise ConfigError(f"num_teachers: debate-demo transcripts letter at most "
                               f"{MAX_LETTERED_EXPERTS} experts, got {self.num_teachers}")
-        steps = self.iterations * self.max_steps
-        if self.experiment == "opad" and steps > _MAX_TRAIN_STEPS:
-            raise ConfigError(f"max_steps: iterations * max_steps must be at most "
-                              f"{_MAX_TRAIN_STEPS}, got {self.iterations} * {self.max_steps}")
-        if self.experiment == "opad" and steps * self.num_teachers > _MAX_TEACHER_STEPS:
-            raise ConfigError(f"num_teachers: iterations * max_steps * num_teachers must be at "
-                              f"most {_MAX_TEACHER_STEPS}, got {steps} * {self.num_teachers}")
-        if self.rounds * self.num_teachers > _MAX_DEBATE_CELLS:
-            raise ConfigError(f"rounds: rounds * num_teachers must be at most "
-                              f"{_MAX_DEBATE_CELLS}, got {self.rounds} * {self.num_teachers}")
         world = self.build_fixture().world
         if self.experiment == "opad":
             limit = 1.0 / max(world.n_tools, world.n_args)
@@ -147,12 +144,6 @@ class RunConfig:
                 self.train_config()
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
-            if steps * self.rounds * self.num_teachers > _MAX_TEACHER_QUERIES:
-                raise ConfigError(
-                    f"rounds: iterations * max_steps * rounds * num_teachers must be at most "
-                    f"{_MAX_TEACHER_QUERIES}, got {self.iterations} * {self.max_steps} * "
-                    f"{self.rounds} * {self.num_teachers}"
-                )
 
     def build_fixture(self):
         """The run's fixture, built from the fields its builder declares."""
@@ -210,7 +201,7 @@ class RunConfig:
         with open(path, encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            except ValueError as exc:  # not JSON, not UTF-8, or an int past 4300 digits
                 raise ConfigError(f"{path}: not a UTF-8 JSON file: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: expected a JSON object, got {type(raw).__name__}")
@@ -463,16 +454,16 @@ def run(config: RunConfig) -> int:
     directory; a lock left by a process that no longer exists is reclaimed.
     """
     out = Path(config.out_dir)
+    lock = out / ".lock"
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"config error: out_dir: cannot create {out}: {exc.strerror or exc}",
-              file=sys.stderr)
+        acquired = _acquire_lock(lock)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"config error: out_dir: cannot use {out}: {reason}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    lock = out / ".lock"
-    if not _acquire_lock(lock):
-        print(f"config error: output directory {out} is locked by a running experiment",
-              file=sys.stderr)
+    if not acquired:
+        print(f"config error: out_dir: {out} is locked by a running experiment", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
     try:

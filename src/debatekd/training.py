@@ -116,12 +116,10 @@ class ToolWorld:
             return self.accepted_actions[state]
         return frozenset({self.correct_action[state]})
 
-    def next_state(self, state: int, action: Action) -> int:
-        return (state + 1) % self.n_states
-
     def states_from(self, x: int) -> np.ndarray:
-        """The max_steps states a trajectory from x visits, in step order;
-        known before any draw, since next_state ignores the action."""
+        """The max_steps states a trajectory from x visits, in step order:
+        x, x + 1, ... mod n_states. This is the world's transition; it
+        ignores the action, so the states are known before any draw."""
         return (x + np.arange(self.max_steps)) % self.n_states
 
     def flat_action(self, action: Action) -> int:
@@ -458,10 +456,13 @@ def train(world: ToolWorld, teachers: list[Teacher], config: TrainConfig) -> Tra
             tool_grads[state] = tool_grads.get(state, 0.0) + 0.5 * tool_rep.logit_grad
             arg_grads[arg_key] = arg_grads.get(arg_key, 0.0) + 0.5 * arg_rep.logit_grad
 
-        for s, grad in tool_grads.items():
-            policy.tool_logits[s] -= config.eta * grad
-        for (s, tool), grad in arg_grads.items():
-            policy.arg_logits[s, tool] -= config.eta * grad
+        # A finite eta near the float ceiling can overflow a logit; the check
+        # below reports that step as a numeric abort instead.
+        with np.errstate(over="ignore"):
+            for s, grad in tool_grads.items():
+                policy.tool_logits[s] -= config.eta * grad
+            for (s, tool), grad in arg_grads.items():
+                policy.arg_logits[s, tool] -= config.eta * grad
 
         loss_series[it] = total_loss
         acc_series[it] = task_accuracy(policy, world)

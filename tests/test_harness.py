@@ -1,11 +1,14 @@
 import dataclasses
+import errno
 import hashlib
 import inspect
 import json
+import math
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -217,6 +220,16 @@ class TestRunArtifacts:
         assert payload["abort"]["iteration"] == 0
         assert (out / "metrics.csv").exists()
 
+    def test_overflowing_update_is_a_numeric_abort(self, tmp_path):
+        """An eta at the float ceiling overflows a logit in the first update:
+        the run aborts there with exit 2 and leaks no RuntimeWarning."""
+        out = tmp_path / "overflow"
+        config = RunConfig(experiment="opad", kind=REVERSE_KL, fixture="privileged-gap",
+                           num_teachers=1, eta=sys.float_info.max, iterations=3,
+                           out_dir=str(out))
+        assert run(config) == EXIT_NUMERIC_ABORT
+        assert json.loads((out / "run.json").read_text())["abort"]["iteration"] == 0
+
     def test_debate_demo_artifacts(self, tmp_path):
         out = tmp_path / "demo"
         config = RunConfig(experiment="debate-demo", seed=0, out_dir=str(out))
@@ -409,13 +422,25 @@ class TestCli:
             ("debate-demo", {"experiment": "debate-demo", "rounds": 1000000000}, "rounds"),
             ("opad", {"experiment": "opad", "rounds": 5001}, "rounds"),
             ("opad", {"experiment": "opad", "rounds": 5000}, "rounds"),
+            ("opad", {"experiment": "opad", "eta": 10**400}, "eta"),
+            ("debate-demo", {"experiment": "debate-demo", "conf_temperature": 10**400},
+             "conf_temperature"),
+            ("opad", {"experiment": "opad", "eta": math.inf}, "eta"),
+            ("debate-demo", {"experiment": "debate-demo", "conf_temperature": math.inf},
+             "conf_temperature"),
+            ("bounds", {"experiment": "bounds", "eps": math.inf}, "eps"),
+            ("gradcheck", {"experiment": "gradcheck", "eps": math.inf}, "eps"),
+            ("modes", {"experiment": "modes", "eps": math.inf}, "eps"),
         ],
         ids=["not-an-object", "str-seed", "float-iterations", "float-seed",
              "eps-above-inverse-vocab", "out-is-a-file", "opad-teacher-count",
              "debate-demo-teacher-count", "underflowing-conf-temperature",
              "unallocatable-iterations", "unallocatable-max-steps",
              "more-experts-than-letters", "not-json", "unallocatable-teachers",
-             "endless-debate", "debate-past-its-cell-bound", "too-many-teacher-queries"],
+             "endless-debate", "debate-past-its-cell-bound", "too-many-teacher-queries",
+             "eta-past-the-largest-double", "conf-temperature-past-the-largest-double",
+             "infinite-eta", "infinite-conf-temperature", "infinite-eps-bounds",
+             "infinite-eps-gradcheck", "infinite-eps-modes"],
     )
     def test_bad_input_is_named_config_error(self, tmp_path, capsys, experiment, config, field):
         path = tmp_path / "config.json"
@@ -429,6 +454,31 @@ class TestCli:
         assert err.startswith(f"config error: {field or path}")
         assert "Traceback" not in err
         assert out.is_file() if field == "out_dir" else not out.exists()
+
+    def test_out_dir_with_a_nul_byte_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"experiment": "bounds", "out_dir": f"{tmp_path}/a\0b"}))
+        status = main(["run", "bounds", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert status == EXIT_CONFIG_ERROR
+        assert err.startswith("config error: out_dir: ")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("module, name", [(os, "link"), (tempfile, "mkstemp")],
+                             ids=["no-hard-links", "unwritable-directory"])
+    def test_unusable_lock_is_config_error(self, tmp_path, capsys, monkeypatch, module, name):
+        def refuse(*args, **kwargs):
+            raise PermissionError(errno.EPERM, os.strerror(errno.EPERM))
+
+        monkeypatch.setattr(module, name, refuse)
+        out = tmp_path / "out"
+        status = main(["run", "bounds", "--iterations", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert status == EXIT_CONFIG_ERROR
+        assert err.startswith(f"config error: out_dir: cannot use {out}: ")
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []  # the lock's temporary file is removed
 
     def test_untrainable_config_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"

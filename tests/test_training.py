@@ -76,7 +76,7 @@ def reference_rollout(world, policy, x, rng):
         tool = int(sample(softmax(LogitVector(policy.tool_logits[state])), rng))
         arg = int(sample(softmax(LogitVector(policy.arg_logits[state, tool])), rng))
         steps.append((state, (tool, arg)))
-        state = world.next_state(state, (tool, arg))
+        state = (state + 1) % world.n_states
     return tuple(steps)
 
 
@@ -103,8 +103,8 @@ class TestToolWorld:
             ToolWorld(n_states=2, n_tools=2, n_args=2, correct_action={0: (0, 0)})
 
     def test_default_transition_is_cyclic(self):
-        world = simple_world(n_states=3)
-        assert world.next_state(2, (0, 0)) == 0
+        world = simple_world(n_states=3, max_steps=4)
+        assert world.states_from(2).tolist() == [2, 0, 1, 2]
 
     def test_accepted_defaults_to_singleton(self):
         world = simple_world()
