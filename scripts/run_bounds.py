@@ -3,9 +3,10 @@
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
-from debatekd.harness import RunConfig, run
+from debatekd.harness import EXIT_CONFIG_ERROR, ConfigError, RunConfig, run
 
 
 def main() -> int:
@@ -15,9 +16,14 @@ def main() -> int:
     ap.add_argument("--trials", type=int, default=20000)
     args = ap.parse_args()
 
-    status = run(
-        RunConfig(experiment="bounds", seed=args.seed, iterations=args.trials, out_dir=args.out)
-    )
+    try:
+        config = RunConfig(
+            experiment="bounds", seed=args.seed, iterations=args.trials, out_dir=args.out
+        )
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    status = run(config)
     if status == 0:
         report = json.loads(Path(args.out, "bounds_report.json").read_text())
         print(f"max JSD loss      : {report['max_loss']:.12f} (bound {report['loss_bound']:.12f})")

@@ -5,13 +5,14 @@ files alone."""
 
 import argparse
 import csv
+import sys
 from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 
 from debatekd.divergence import parse_kind
-from debatekd.harness import RunConfig, run
+from debatekd.harness import EXIT_CONFIG_ERROR, ConfigError, RunConfig, run
 
 
 def per_step_losses(metrics_path: Path) -> np.ndarray:
@@ -29,11 +30,9 @@ def main() -> int:
     ap.add_argument("--iterations", type=int, default=500)
     args = ap.parse_args()
 
-    ratios = {}
-    for kind in ("rev", "jsd:0.5"):
-        out_dir = Path(args.out) / kind.replace(":", "=")
-        status = run(
-            RunConfig(
+    try:
+        configs = {
+            kind: RunConfig(
                 experiment="opad",
                 kind=parse_kind(kind),
                 fixture="privileged-gap",
@@ -41,12 +40,19 @@ def main() -> int:
                 rounds=1,
                 seed=args.seed,
                 iterations=args.iterations,
-                out_dir=str(out_dir),
+                out_dir=str(Path(args.out) / kind.replace(":", "=")),
             )
-        )
+            for kind in ("rev", "jsd:0.5")
+        }
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    ratios = {}
+    for kind, config in configs.items():
+        status = run(config)
         if status != 0:
             return status
-        steps = per_step_losses(out_dir / "metrics.csv")
+        steps = per_step_losses(Path(config.out_dir) / "metrics.csv")
         ratios[kind] = steps.max() / np.median(steps)
         print(f"{kind:8s}: max {steps.max():10.4f}  median {np.median(steps):10.6f}  "
               f"spike ratio {ratios[kind]:10.2f}")

@@ -8,8 +8,13 @@ import sys
 from .harness import EXIT_CONFIG_ERROR, EXPERIMENTS, ConfigError, RunConfig, run
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a config error: 2 means numeric abort
+        self.exit(EXIT_CONFIG_ERROR, f"config error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="debatekd",
         description="Desk-scale debate-distillation experiments",
     )
@@ -32,10 +37,7 @@ def main(argv: list[str] | None = None) -> int:
     del overrides["command"]
     path = overrides.pop("config", None)
     try:
-        if path:
-            config = RunConfig.from_file(path, overrides=overrides)
-        else:
-            config = RunConfig.from_dict(overrides)
+        config = RunConfig.from_file(path, overrides) if path else RunConfig.from_dict(overrides)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -19,10 +19,10 @@ gradient ceilings: it splits its trials over the vocabularies and cuts the
 shares, in vocabulary order, into chunks of a fixed number of padded
 entries (a large share fills single-vocabulary chunks, consecutive small
 shares share one, zero-padded to its widest row). It draws each chunk's
-near-disjoint, random and spiked rows with vectorised draws and scores the
-chunk as soon as it is drawn, keeping only the running maxima of the
-pairs scored alone and their first witnesses (point-mass pairs first, then
-the rows in chunk order), so its peak memory is flat in the trial count.
+near-disjoint, random and spiked rows and scores them at the drawn students
+in one `batch` call, keeping only the running maxima of the pairs scored
+alone and their first witnesses (point-mass pairs first, then the rows in
+chunk order), so its peak memory is flat in the trial count.
 The reverse-KL probe shows the gradient blow-up as teacher mass vanishes on
 student-supported tokens. Row sums and row dot products reduce each row as
 the one-row numpy call would, so a stacked call of rows of one width is
@@ -395,7 +395,7 @@ def _draw_block(vocab: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray
     10^U(-300, -8) on token 0, where q holds a spike U(0.3, 0.9); the
     gradient inf-norm peaks for spikes around 0.7, not at point masses.
     Random: Dirichlet p and q, with q floored at 1e-300 (Dirichlet(0.1) can
-    underflow to exact zero) so that log q is a usable logit row.
+    underflow to exact zero), which keeps every student interior.
     """
     width = int(vocab.max())
     P, Q = np.empty((2, len(vocab), width))
@@ -484,8 +484,10 @@ def jsd_bound_probe(
     the trials. The shares, in vocabulary order, are cut into `_chunks` of
     at most _CHUNK_ENTRIES padded entries; each chunk is drawn as one
     `_draw_block` and scored as soon as it is drawn, so the peak memory
-    does not grow with n_trials. The student's padded logits are -inf, so
-    padding adds exact zeros to every value, gradient and inf-norm.
+    does not grow with n_trials. One `batch` call scores a chunk's JSD
+    values and gradients at its drawn students, each its own softmax(log q)
+    (positive on its vocabulary); the forward-KL gradient is Q - P. Padding
+    is 0 in p and q and adds exact zeros to every value, gradient and norm.
 
     The loss and JSD gradient maxima are over every pair scored alone at
     its own vocabulary, as its witness is read, and a witness is the first
@@ -507,7 +509,7 @@ def jsd_bound_probe(
         return batch(kind, p, q, grad=False)[0]
 
     def grad_norms_of(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        return _inf_norms(batch(kind, p, softmax_rows(np.log(q)))[1])
+        return _inf_norms(batch(kind, p, q)[1])
 
     # Scored once: every zero of the pair adds an exact 0 term to its row
     # sums, so its value does not depend on |V| at any beta.
@@ -520,18 +522,12 @@ def jsd_bound_probe(
         p, q = _draw_block(vocab, rng)
         validate_probs(p)
         validate_probs(q)
-        with np.errstate(divide="ignore"):
-            z = np.log(q)
-        # each padding entry checked as a copy of its row's first logit
-        validate_logits(np.where(np.arange(z.shape[1]) >= vocab[:, None], z[:, :1], z))
-        q_soft = softmax_rows(z)
-        losses = losses_of(p, q)
-        grad_norms = _inf_norms(batch(kind, p, q_soft)[1])
-        max_fwd = np.maximum(max_fwd, _inf_norms(batch(FORWARD_KL, p, q_soft)[1]).max())
+        losses, g = batch(kind, p, q)
+        max_fwd = np.maximum(max_fwd, _inf_norms(q - p).max())
         found = _first_maximum(losses, vocab, p, q, losses_of, max_loss)
         if found:
             max_loss, witness_loss = found
-        found = _first_maximum(grad_norms, vocab, p, q, grad_norms_of, max_inf_norm)
+        found = _first_maximum(_inf_norms(g), vocab, p, q, grad_norms_of, max_inf_norm)
         if found:
             max_inf_norm, witness_grad = found
 

@@ -47,15 +47,16 @@ _FIELD_TYPES = {"str": str, "int": int, "float": (int, float), "DivergenceKind":
 #: The (lowest, highest) value of each numeric field, both inclusive. Every
 #: value must also be finite.
 _RANGES = {
-    "num_teachers": (1, math.inf),
-    "rounds": (1, math.inf),
+    # run.json echoes every count, so each takes the seed's bound below
+    "num_teachers": (1, 2**64 - 1),
+    "rounds": (1, 2**64 - 1),
     "revision_rate": (0, 1),
     # A 100-point confidence spread is a weight-logit spread of 1/tau; past
     # the softmax ceiling the least confident teacher's weight underflows.
     "conf_temperature": (1 / _MAX_LOGIT_SPREAD, math.inf),
     "eps": (0, math.inf),
     "eta": (0, math.inf),
-    "max_steps": (1, math.inf),
+    "max_steps": (1, 2**64 - 1),
     # training and the bounds sweep preallocate their per-iteration records
     "iterations": (1, 10**6),
     # the master seed is one 64-bit unsigned word
@@ -75,6 +76,14 @@ _PRODUCTS = (
     # opad debates every step, each cell a teacher query: the bound above at R = 2
     (("opad",), ("iterations", "max_steps", "rounds", "num_teachers"), 16 * 10**6, "rounds"),
 )
+
+
+def _shown(value) -> str:
+    """repr(value), or the bit length of an int past str()'s digit limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<int of {value.bit_length()} bits>"
 
 
 @dataclass
@@ -106,7 +115,7 @@ class RunConfig:
             value = getattr(self, f.name)
             types = _FIELD_TYPES.get(f.type)
             if types and (isinstance(value, bool) or not isinstance(value, types)):
-                raise ConfigError(f"{f.name}: expected {f.type}, got {value!r}")
+                raise ConfigError(f"{f.name}: expected {f.type}, got {_shown(value)}")
             if f.name not in _RANGES:
                 continue
             lo, hi = _RANGES[f.name]
@@ -118,12 +127,12 @@ class RunConfig:
                 usable = False
             if not usable:
                 span = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
-                raise ConfigError(f"{f.name}: must be a finite number {span}, got {value!r}")
+                raise ConfigError(f"{f.name}: must be a finite number {span}, got {_shown(value)}")
         for experiments, names, largest, named in _PRODUCTS:
             values = [getattr(self, name) for name in names]
             if self.experiment in experiments and math.prod(values) > largest:
                 raise ConfigError(f"{named}: {' * '.join(names)} must be at most {largest}, "
-                                  f"got {' * '.join(map(str, values))}")
+                                  f"got {' * '.join(map(_shown, values))}")
         from .fixtures import FIXTURES
 
         for name, choices in (("experiment", EXPERIMENTS), ("fixture", sorted(FIXTURES))):
@@ -182,8 +191,7 @@ class RunConfig:
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
         raw = dict(raw)
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in dataclasses.fields(RunConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "experiment" not in raw:
@@ -207,9 +215,7 @@ class RunConfig:
             raise ConfigError(f"{path}: expected a JSON object, got {type(raw).__name__}")
         if "config" in raw and isinstance(raw["config"], dict):
             raw = raw["config"]
-        if overrides:
-            raw.update(overrides)
-        return RunConfig.from_dict(raw)
+        return RunConfig.from_dict({**raw, **(overrides or {})})
 
 
 def ema(y, alpha: float = 0.15) -> np.ndarray:
@@ -301,12 +307,7 @@ def _run_gradcheck(config: RunConfig, out: Path) -> dict:
             closed = logit_gradient(kind, p, z).logit_grad
             fd = finite_difference_gradient(kind, p, z, h=1e-6)
             mask = (np.abs(closed) > 1e-6) & np.isfinite(fd)
-            if mask.any():
-                rel = float(
-                    np.max(np.abs(fd[mask] - closed[mask]) / np.abs(closed[mask]))
-                )
-            else:
-                rel = 0.0
+            rel = float(np.max(np.abs(fd[mask] - closed[mask]) / np.abs(closed[mask]), initial=0.0))
             worst[str(kind)] = max(worst[str(kind)], rel)
             rows.append((case, str(kind), vocab, rel))
     write_csv(out / "metrics.csv", ["case", "kind", "vocab", "max_rel_err"], rows)

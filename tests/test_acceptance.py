@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. Every tolerance is pinned
 here; nothing is deferred to later calibration. The sweep behind criteria
-1-3 draws at least 1e5 random plus adversarial pairs over vocabularies
+1-3 draws at least 1e6 random plus adversarial pairs over vocabularies
 2..64 and is shared via a module-scoped fixture.
 """
 
@@ -33,7 +33,7 @@ from debatekd.simplex import Distribution, LogitVector, RngSeed, floor_and_renor
 from debatekd.training import StudentPolicy, TrainConfig, rollout, train
 from debatekd.weighting import ConfidenceScores, confidence_to_weights
 
-SWEEP_TRIALS = 100_000
+SWEEP_TRIALS = 1_000_000
 VOCAB_SIZES = list(range(2, 65))
 
 

@@ -465,7 +465,7 @@ class TestBoundProbes:
         loss, _ = batch(jsd_kind(0.5), np.array([w["p"]]), np.array([w["q"]]), grad=False)
         assert loss.tobytes() == np.float64(report.max_loss).tobytes()
         w = report.witness_grad
-        _, g = batch(jsd_kind(0.5), np.array([w["p"]]), softmax_rows(np.log([w["q"]])))
+        _, g = batch(jsd_kind(0.5), np.array([w["p"]]), np.array([w["q"]]))
         assert np.max(np.abs(g)).tobytes() == np.float64(report.max_inf_norm).tobytes()
         assert {report.witness_loss["vocab"], w["vocab"]} <= set(vocab_sizes)
 
@@ -482,12 +482,30 @@ class TestBoundProbes:
             for v, p, q in zip(vocab, P, Q):
                 p, q = p[None, :v], q[None, :v]
                 losses.append((batch(kind, p, q, grad=False)[0][0], v))
-                norms.append((np.abs(batch(kind, p, softmax_rows(np.log(q)))[1]).max(), v))
+                norms.append((np.abs(batch(kind, p, q)[1]).max(), v))
         for (value, vocab), figure, w in [
             (max(losses, key=lambda x: x[0]), report.max_loss, report.witness_loss),
             (max(norms, key=lambda x: x[0]), report.max_inf_norm, report.witness_grad),
         ]:
             assert (figure, w["vocab"]) == (value, vocab)
+
+    def test_one_kernel_call_per_chunk(self, monkeypatch):
+        real, calls = divergence.batch, []
+
+        def counted(kind, P, Q, grad=True):
+            calls.append(len(Q))
+            return real(kind, P, Q, grad)
+
+        def unused(*args):
+            raise AssertionError("the probe forms no student logits")
+
+        monkeypatch.setattr(divergence, "batch", counted)
+        monkeypatch.setattr(divergence, "softmax_rows", unused)
+        monkeypatch.setattr(divergence, "validate_logits", unused)
+        jsd_bound_probe(4096, [64], RngSeed(0).stream("probes"))
+        # the point-mass pair, then 16 chunks of 2^14 entries; no row is
+        # padded, so none is scored again
+        assert calls == [1] + [_CHUNK_ENTRIES // 64] * 16
 
     def test_a_padded_row_just_below_the_maximum_is_scored_alone(self):
         x = math.log(2)
@@ -537,7 +555,7 @@ class TestBoundProbes:
         assert report.witness_grad["vocab"] in (2, 4, 8)
 
     def test_a_nan_maximum_stays_visible(self, monkeypatch):
-        real = divergence.batch
+        real, real_norms = divergence.batch, divergence._inf_norms
 
         def nan_at_vocab_3(kind, P, Q, grad=True):
             values, g = real(kind, P, Q, grad)
@@ -549,7 +567,15 @@ class TestBoundProbes:
                 g[rows] = math.nan
             return values, g
 
+        def nan_norms_at_vocab_3(g):
+            # the forward-KL norm is taken of Q - P, which here is nonzero
+            # on every token of the row's own vocabulary and 0 on its padding
+            norms = real_norms(g)
+            norms[(g != 0).sum(axis=-1) == 3] = math.nan
+            return norms
+
         monkeypatch.setattr(divergence, "batch", nan_at_vocab_3)
+        monkeypatch.setattr(divergence, "_inf_norms", nan_norms_at_vocab_3)
         report = jsd_bound_probe(30, [2, 3, 4], RngSeed(0).stream("probes"))
         assert math.isnan(report.max_loss) and report.witness_loss["vocab"] == 3
         assert math.isnan(report.max_inf_norm) and report.witness_grad["vocab"] == 3

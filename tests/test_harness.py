@@ -80,6 +80,27 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="kind"):
             RunConfig.from_dict({"experiment": "opad", "kind": "tv-distance"})
 
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"experiment": "bounds", "seed": 10**5000}, "seed"),
+            ({"experiment": "opad", "num_teachers": 10**5000}, "num_teachers"),
+            ({"experiment": "bounds", "out_dir": 10**5000}, "out_dir"),
+            # accepted before, then unprintable in run.json
+            ({"experiment": "bounds", "rounds": 10**5000, "iterations": 5}, "rounds"),
+        ],
+        ids=["seed", "num-teachers", "out-dir", "rounds"],
+    )
+    def test_an_int_past_the_digit_limit_is_named(self, fields, named):
+        with pytest.raises(ConfigError, match=rf"^{named}: .* got <int of 16610 bits>$"):
+            RunConfig(**fields)
+
+    def test_counts_take_the_seeds_bound(self):
+        for name in ("num_teachers", "rounds", "max_steps"):
+            RunConfig(experiment="bounds", **{name: 2**64 - 1})
+            with pytest.raises(ConfigError, match=rf"^{name}: .* got 18446744073709551616$"):
+                RunConfig(experiment="bounds", **{name: 2**64})
+
     def test_kind_string_parsing(self):
         config = RunConfig.from_dict({"experiment": "opad", "kind": "jsd:0.25"})
         assert config.kind == jsd_kind(0.25)
@@ -399,6 +420,35 @@ class TestCli:
     def test_missing_config_file_is_config_error(self, tmp_path):
         status = main(["run", "bounds", "--config", str(tmp_path / "nope.json")])
         assert status == EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize(
+        "argv, problem",
+        [
+            (["run", "bounds", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+            (["run", "bounds", "--iterations", "2.5"],
+             "argument --iterations: invalid int value: '2.5'"),
+            (["run", "nosuch"], "argument experiment: invalid choice: 'nosuch'"),
+            (["run", "bounds", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["str-seed", "float-iterations", "unknown-experiment", "unknown-flag",
+             "missing-command"],
+    )
+    def test_usage_error_is_config_error(self, tmp_path, monkeypatch, capsys, argv, problem):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_.value.code == EXIT_CONFIG_ERROR
+        assert captured.err.startswith(f"config error: {problem}")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--help"])
+        assert exit_.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: debatekd run")
 
     @pytest.mark.parametrize(
         "experiment, config, field",

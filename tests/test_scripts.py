@@ -1,4 +1,5 @@
-"""Smoke test: every experiment script runs to exit 0 on a small input."""
+"""Smoke test: every experiment script runs to exit 0 on a small input, and
+ends a bad input in one `config error: ...` line and exit 1."""
 
 import importlib.util
 import os
@@ -21,17 +22,40 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_script_exits_zero(tmp_path, script, args):
+    proc = run_script(tmp_path, script, args)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize(
+    "script, args, problem",
+    [
+        ("run_bounds.py", ["--trials", "0"], "iterations: "),
+        ("run_bounds.py", ["--seed", "-1"], "seed: "),
+        ("run_stability_contrast.py", ["--iterations", "0"], "iterations: "),
+        ("run_mode_geometry.py", ["--alphas", "1.5", "--separations", "8"],
+         "alpha 1.5, separation 8.0: "),
+    ],
+    ids=["no-trials", "negative-seed", "no-iterations", "alpha-above-one"],
+)
+def test_bad_input_is_config_error(tmp_path, script, args, problem):
+    proc = run_script(tmp_path, script, args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"config error: {problem}") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []  # nothing ran
+
+
+def run_script(cwd, script, args):
     # scripts write under runs/ relative to the working directory
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
-        cwd=tmp_path,
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=300,
     )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize(

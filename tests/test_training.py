@@ -19,7 +19,7 @@ from debatekd.fixtures import (
     teacher_standalone_accuracy,
     two_strategy_fixture,
 )
-from debatekd.simplex import Distribution, LogitVector, RngSeed, sample, softmax
+from debatekd.simplex import DEFAULT_FLOOR, Distribution, LogitVector, RngSeed, sample, softmax
 from debatekd.training import (
     StudentPolicy,
     ToolWorld,
@@ -596,9 +596,10 @@ def small_runs(draw):
 
     max_steps may exceed n_states, so that a state recurs within a
     trajectory; accepted sets, revision rates and confidence overrides
-    (ties included) vary, as do the kind and seed.
+    (ties included) vary, as do the kind (JSD at three betas, with and
+    without a teacher floor), the teacher count, the rounds and the seed.
     """
-    n_states, n_tools, n_args = draw(st.integers(1, 6)), draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    n_states, n_tools, n_args = draw(st.integers(1, 6)), draw(st.integers(2, 5)), draw(st.integers(2, 5))
     actions = st.tuples(st.integers(0, n_tools - 1), st.integers(0, n_args - 1))
     correct = {s: draw(actions) for s in range(n_states)}
     accepted = None
@@ -617,12 +618,14 @@ def small_runs(draw):
             revision_rate=draw(st.sampled_from([0.0, 0.5, 1.0])),
             confidence_override=draw(st.sampled_from([None, 40.0, 90.0])),
         )
-        for k in range(draw(st.integers(1, 3)))
+        for k in range(draw(st.integers(1, 4)))
     ]
+    kind = draw(st.sampled_from([*map(jsd_kind, (0.1, 0.5, 0.9)), FORWARD_KL, REVERSE_KL]))
     config = TrainConfig(
-        kind=draw(st.sampled_from([jsd_kind(0.5), FORWARD_KL, REVERSE_KL])),
-        rounds=draw(st.integers(1, 2)),
+        kind=kind,
+        rounds=draw(st.integers(1, 3)),
         iterations=draw(st.integers(1, 4)),
+        eps=draw(st.sampled_from([1e-8, 0.0])) if kind.name == "jsd" else DEFAULT_FLOOR,
         seed=draw(st.integers(0, 2**32)),
     )
     return world, specs, config
