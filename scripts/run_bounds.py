@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Run the divergence bound probes and print the observed extremes."""
 
-import argparse
 import json
 import sys
 from pathlib import Path
 
+from debatekd.cli import Parser
 from debatekd.harness import EXIT_CONFIG_ERROR, ConfigError, RunConfig, run
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = Parser(description=__doc__)
     ap.add_argument("--out", default="runs/bounds")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--trials", type=int, default=20000)

@@ -4,20 +4,20 @@ ordering for the three divergences.
 
 A cell passes criterion c07 when the secondary-mode mass is strictly
 ordered rev < jsd < fwd and reverse KL leaves less than 0.05 on it; the
-script exits 1 if any cell misses, or with a `config error: ...` line if a
-mixture cannot be built from the grid."""
+script exits 1 if any cell misses, or with a `config error: ...` line if its
+arguments do not parse or a mixture cannot be built from the grid."""
 
-import argparse
 import sys
 
 import numpy as np
 
+from debatekd.cli import Parser
 from debatekd.harness import EXIT_CONFIG_ERROR
 from debatekd.modes import BinnedMixture, coverage_ordering
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = Parser(description=__doc__)
     ap.add_argument("--alphas", type=float, nargs="+", default=[0.55, 0.6, 0.7])
     ap.add_argument("--separations", type=float, nargs="+", default=[6.0, 8.0, 12.0])
     args = ap.parse_args()

@@ -3,7 +3,6 @@
 fixture; the spike-ratio comparison is computed from the two metrics.csv
 files alone."""
 
-import argparse
 import csv
 import sys
 from collections import defaultdict
@@ -11,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from debatekd.cli import Parser
 from debatekd.divergence import parse_kind
 from debatekd.harness import EXIT_CONFIG_ERROR, ConfigError, RunConfig, run
 
@@ -24,7 +24,7 @@ def per_step_losses(metrics_path: Path) -> np.ndarray:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = Parser(description=__doc__)
     ap.add_argument("--out", default="runs/stability")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--iterations", type=int, default=500)

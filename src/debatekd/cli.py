@@ -8,13 +8,16 @@ import sys
 from .harness import EXIT_CONFIG_ERROR, EXPERIMENTS, ConfigError, RunConfig, run
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # a usage error is a config error: 2 means numeric abort
+class Parser(argparse.ArgumentParser):
+    """The CLI's and the scripts' parser: a usage error is a config error,
+    one `config error: ...` line and exit 1, since 2 means numeric abort."""
+
+    def error(self, message):
         self.exit(EXIT_CONFIG_ERROR, f"config error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = Parser(
         prog="debatekd",
         description="Desk-scale debate-distillation experiments",
     )

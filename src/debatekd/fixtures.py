@@ -45,27 +45,34 @@ class Fixture:
     teachers: tuple[MockTeacher, ...]
 
 
-def _cycled_correct(world_states: int, n_tools: int, n_args: int) -> dict[int, Action]:
+_N_STATES = 10
+
+
+def _world(n_tools: int, n_args: int, **overrides) -> ToolWorld:
+    """A 10-state, 4-step world whose correct action cycles through the
+    joint actions; overrides replace any of the ToolWorld fields set here."""
     joint = n_tools * n_args
-    return {s: ((s % joint) // n_args, (s % joint) % n_args) for s in range(world_states)}
+    correct = {s: divmod(s % joint, n_args) for s in range(_N_STATES)}
+    fields = {"n_states": _N_STATES, "correct_action": correct, "max_steps": 4}
+    return ToolWorld(n_tools=n_tools, n_args=n_args, **(fields | overrides))
+
+
+def _teacher(world: ToolWorld, name: str, table, **spec_fields) -> MockTeacher:
+    """A mock teacher over world's joint actions; spec_fields are the
+    MockTeacherSpec fields that differ from their defaults."""
+    shape = (world.n_tools, world.n_args)
+    spec = MockTeacherSpec(name=name, base_table=table, action_shape=shape, **spec_fields)
+    return MockTeacher(spec)
 
 
 def complementary_fixture(revision_rate: float = 0.5) -> Fixture:
     """Two teachers with complementary competence halves on a 2x2 world
     (expert-a on states 0-4, expert-b on 5-9): peaked 0.9 on the correct
     action where competent, flattened to a 0.3 top mass elsewhere."""
-    n_states, n_tools, n_args, peak_mass = 10, 2, 2, 0.9
-    world = ToolWorld(
-        n_states=n_states,
-        n_tools=n_tools,
-        n_args=n_args,
-        correct_action=_cycled_correct(n_states, n_tools, n_args),
-        max_steps=4,
-    )
-    vocab = world.joint_vocab
+    world = _world(2, 2)
+    n_states, vocab, peak_mass = world.n_states, world.joint_vocab, 0.9
     temperature = temperature_for_peak(vocab, peak_mass, 0.3)
     half = n_states // 2
-
     teachers = []
     for name, competent in (("expert-a", range(half)), ("expert-b", range(half, n_states))):
         table = {}
@@ -76,42 +83,21 @@ def complementary_fixture(revision_rate: float = 0.5) -> Fixture:
             else:
                 wrong_flat = (correct_flat + vocab // 2 + 1) % vocab
                 table[s] = flattened_row(vocab, wrong_flat, peak_mass, temperature)
-        spec = MockTeacherSpec(
-            name=name,
-            base_table=table,
-            revision_rate=revision_rate,
-            action_shape=(n_tools, n_args),
-        )
-        teachers.append(MockTeacher(spec))
+        teachers.append(_teacher(world, name, table, revision_rate=revision_rate))
     return Fixture(world, tuple(teachers))
 
 
 def privileged_gap_fixture(num_teachers: int = 1) -> Fixture:
     """Teacher(s) peaked 1 - 1e-6 on the correct action at every state of a
     4x4 world."""
-    n_states, n_tools, n_args, gap = 10, 4, 4, 1e-6
-    world = ToolWorld(
-        n_states=n_states,
-        n_tools=n_tools,
-        n_args=n_args,
-        correct_action=_cycled_correct(n_states, n_tools, n_args),
-        max_steps=4,
-    )
-    vocab = world.joint_vocab
+    world = _world(4, 4)
+    vocab, gap = world.joint_vocab, 1e-6
     table = {
         s: peaked_row(vocab, world.flat_action(world.correct_action[s]), 1.0 - gap)
-        for s in range(n_states)
+        for s in range(world.n_states)
     }
     teachers = tuple(
-        MockTeacher(
-            MockTeacherSpec(
-                name=f"oracle-{k}",
-                base_table=table,
-                revision_rate=0.0,
-                action_shape=(n_tools, n_args),
-            )
-        )
-        for k in range(num_teachers)
+        _teacher(world, f"oracle-{k}", table, revision_rate=0.0) for k in range(num_teachers)
     )
     return Fixture(world, teachers)
 
@@ -121,49 +107,30 @@ def privileged_gap_fixture(num_teachers: int = 1) -> Fixture:
 # the X expert's weight is 0.415; the mean arg target then puts 0.4979 on
 # X's arg (argmax flips to Y's arg) while the JSD minimizer puts 0.5071 on
 # X's arg. Tool targets stay on X's tool under every divergence.
+# Each side holds (tool marginal, arg marginal, confidence override).
 _TWO_STRATEGY = {
-    "x_tool": np.array([0.90, 0.10]),
-    "x_arg": np.array([0.96, 0.04]),
-    "y_tool": np.array([0.30, 0.70]),
-    "y_arg": np.array([0.17, 0.83]),
-    "x_confidence": 55.0,
-    "y_confidence": 89.33,
+    "x": (np.array([0.90, 0.10]), np.array([0.96, 0.04]), 55.0),
+    "y": (np.array([0.30, 0.70]), np.array([0.17, 0.83]), 89.33),
 }
 
 
 def two_strategy_fixture() -> Fixture:
     """Two accepted strategies per state with disagreeing expert teachers."""
-    n_states, n_tools, n_args = 10, 2, 2
     strategy_x: Action = (0, 0)
     strategy_y: Action = (1, 1)
-    world = ToolWorld(
-        n_states=n_states,
-        n_tools=n_tools,
-        n_args=n_args,
-        correct_action={s: strategy_x for s in range(n_states)},
-        accepted_actions={s: frozenset({strategy_x, strategy_y}) for s in range(n_states)},
-        max_steps=4,
-    )
-    c = _TWO_STRATEGY
-    joint_x = Distribution(np.outer(c["x_tool"], c["x_arg"]).ravel())
-    joint_y = Distribution(np.outer(c["y_tool"], c["y_arg"]).ravel())
-    specs = [
-        MockTeacherSpec(
-            name="expert-x",
-            base_table={s: joint_x for s in range(n_states)},
-            revision_rate=0.0,
-            action_shape=(n_tools, n_args),
-            confidence_override=c["x_confidence"],
-        ),
-        MockTeacherSpec(
-            name="expert-y",
-            base_table={s: joint_y for s in range(n_states)},
-            revision_rate=0.0,
-            action_shape=(n_tools, n_args),
-            confidence_override=c["y_confidence"],
-        ),
-    ]
-    return Fixture(world, tuple(MockTeacher(spec) for spec in specs))
+    correct = {s: strategy_x for s in range(_N_STATES)}
+    accepted = {s: frozenset({strategy_x, strategy_y}) for s in range(_N_STATES)}
+    world = _world(2, 2, correct_action=correct, accepted_actions=accepted)
+    teachers = []
+    for side, (tool, arg, confidence) in _TWO_STRATEGY.items():
+        joint = Distribution(np.outer(tool, arg).ravel())
+        table = {s: joint for s in range(world.n_states)}
+        teachers.append(
+            _teacher(
+                world, f"expert-{side}", table, revision_rate=0.0, confidence_override=confidence
+            )
+        )
+    return Fixture(world, tuple(teachers))
 
 
 FIXTURES = {

@@ -319,15 +319,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.rounds < 1 or self.iterations < 1:
             raise ValueError("rounds and iterations must be >= 1")
-        for name in ("eta", "eps"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name}: must be non-negative, got {getattr(self, name)}")
         # A 100-point confidence spread is a weight-logit spread of 1/tau_conf;
         # past the softmax ceiling the least confident teacher's weight is 0.
-        if not self.tau_conf >= 1.0 / _MAX_LOGIT_SPREAD:
-            raise ValueError(
-                f"tau_conf: must be at least 1/{_MAX_LOGIT_SPREAD:g}, got {self.tau_conf}"
-            )
+        for name, lo in (("eta", 0), ("eps", 0), ("tau_conf", 1.0 / _MAX_LOGIT_SPREAD)):
+            value = getattr(self, name)
+            if not lo <= value < math.inf:  # NaN fails both comparisons
+                raise ValueError(f"{name}: must be a finite number >= {lo}, got {value}")
         if self.kind.name in ("forward_kl", "reverse_kl") and self.eps == 0:
             raise ValueError(
                 f"eps: {self.kind.name} training requires a positive teacher floor, "

@@ -34,8 +34,13 @@ def test_script_exits_zero(tmp_path, script, args):
         ("run_stability_contrast.py", ["--iterations", "0"], "iterations: "),
         ("run_mode_geometry.py", ["--alphas", "1.5", "--separations", "8"],
          "alpha 1.5, separation 8.0: "),
+        # usage errors take the same exit, not argparse's 2 (the numeric-abort code)
+        ("run_bounds.py", ["--trials", "abc"], "argument --trials: invalid int value: 'abc'"),
+        ("run_stability_contrast.py", ["--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        ("run_mode_geometry.py", ["--alphas", "x"], "argument --alphas: invalid float value: 'x'"),
     ],
-    ids=["no-trials", "negative-seed", "no-iterations", "alpha-above-one"],
+    ids=["no-trials", "negative-seed", "no-iterations", "alpha-above-one",
+         "trials-not-int", "unknown-flag", "alphas-not-float"],
 )
 def test_bad_input_is_config_error(tmp_path, script, args, problem):
     proc = run_script(tmp_path, script, args)
@@ -46,10 +51,11 @@ def test_bad_input_is_config_error(tmp_path, script, args, problem):
 
 
 def run_script(cwd, script, args):
-    # scripts write under runs/ relative to the working directory
+    # scripts write under runs/ relative to the working directory; a leaked
+    # RuntimeWarning fails the script as it fails an in-process test
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / script), *args],
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,

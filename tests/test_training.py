@@ -338,10 +338,13 @@ class TestStepLosses:
             )
 
     @pytest.mark.parametrize("field, value", [
-        ("eta", float("nan")), ("eps", float("nan")), ("tau_conf", 1e-300),
+        *((field, float(value)) for field in ("eta", "eps", "tau_conf")
+          for value in ("nan", "inf", "-inf")),
+        ("eta", -1.0), ("tau_conf", 1e-300),
     ])
     def test_training_config_rejects_what_run_config_rejects(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field}:"):
+        message = rf"^{field}: must be a finite number >= \S+, got {value}$"
+        with pytest.raises(ValueError, match=message):
             TrainConfig(kind=jsd_kind(), **{field: value})
 
     def test_eps_zero_reverse_kl_training_config_rejected(self):
@@ -511,11 +514,14 @@ def uncached_train(world, teachers, config):
     """train()'s per-step loop without its memos, frozen as the byte-parity
     oracle: every step is drawn by reference_rollout, debates fresh
     teachers, weights its confidences and force-decodes its targets, and
-    accuracy is the per-state reference loop."""
+    accuracy is the per-state reference loop. A row the next iteration
+    could not softmax ends the run at the step reference_first_unusable_step
+    names, keeping the aborting iteration."""
     rng = RngSeed(config.seed).stream("rollout")
     policy = StudentPolicy.uniform(world)
     losses, accuracies, token_loss, token_grad_inf, weights = [], [], [], [], []
-    for _ in range(config.iterations):
+    aborted = None
+    for it in range(config.iterations):
         traj = reference_rollout(world, policy, int(rng.integers(world.n_states)), rng)
         tool_grads, arg_grads, total = {}, {}, 0.0
         for state, action in traj:
@@ -532,20 +538,25 @@ def uncached_train(world, teachers, config):
             key = (state, action[0])
             tool_grads[state] = tool_grads.get(state, 0.0) + 0.5 * tool_rep.logit_grad
             arg_grads[key] = arg_grads.get(key, 0.0) + 0.5 * arg_rep.logit_grad
-        for s, grad in tool_grads.items():
-            policy.tool_logits[s] -= config.eta * grad
-        for (s, tool), grad in arg_grads.items():
-            policy.arg_logits[s, tool] -= config.eta * grad
+        with np.errstate(over="ignore"):
+            for s, grad in tool_grads.items():
+                policy.tool_logits[s] -= config.eta * grad
+            for (s, tool), grad in arg_grads.items():
+                policy.arg_logits[s, tool] -= config.eta * grad
         losses.append(total)
         accuracies.append(reference_task_accuracy(policy, world))
-    shape = (config.iterations, world.max_steps, -1)
+        bad_step = reference_first_unusable_step(policy, traj)
+        if bad_step is not None:
+            aborted = {"iteration": it, "step": bad_step}
+            break
+    shape = (len(losses), world.max_steps, -1)
     return (np.array(losses), np.array(accuracies), np.reshape(token_loss, shape),
-            np.reshape(token_grad_inf, shape), np.reshape(weights, shape), policy)
+            np.reshape(token_grad_inf, shape), np.reshape(weights, shape), policy, aborted)
 
 
 def assert_run_matches_oracle(got, want):
-    """Every array of a train() result byte-equal to the oracle's."""
-    assert got.aborted is None
+    """Every array of a train() result and its abort byte-equal to the oracle's."""
+    assert got.aborted == want[6]
     for a, b in zip(
         (got.loss_series, got.accuracy_series, got.token_loss, got.token_grad_inf,
          got.weights, got.policy.tool_logits, got.policy.arg_logits),
@@ -598,6 +609,8 @@ def small_runs(draw):
     trajectory; accepted sets, revision rates and confidence overrides
     (ties included) vary, as do the kind (JSD at three betas, with and
     without a teacher floor), the teacher count, the rounds and the seed.
+    Some teachers' tables hold exact zeros, so that a sampled tool can carry
+    no teacher mass, and a large eta makes some runs abort.
     """
     n_states, n_tools, n_args = draw(st.integers(1, 6)), draw(st.integers(2, 5)), draw(st.integers(2, 5))
     actions = st.tuples(st.integers(0, n_tools - 1), st.integers(0, n_args - 1))
@@ -609,22 +622,23 @@ def small_runs(draw):
     world = ToolWorld(n_states=n_states, n_tools=n_tools, n_args=n_args, correct_action=correct,
                       accepted_actions=accepted, max_steps=draw(st.integers(1, 8)))
     vocab = n_tools * n_args
-    specs = [
-        MockTeacherSpec(
+    specs = []
+    for k in range(draw(st.integers(1, 4))):
+        min_entry = draw(st.sampled_from([1e-6, 0.0]))
+        specs.append(MockTeacherSpec(
             name=f"t{k}",
-            base_table={s: Distribution(draw(probability_vectors(min_size=vocab, max_size=vocab)))
+            base_table={s: Distribution(draw(probability_vectors(vocab, vocab, min_entry)))
                         for s in range(n_states)},
             action_shape=(n_tools, n_args),
             revision_rate=draw(st.sampled_from([0.0, 0.5, 1.0])),
             confidence_override=draw(st.sampled_from([None, 40.0, 90.0])),
-        )
-        for k in range(draw(st.integers(1, 4)))
-    ]
+        ))
     kind = draw(st.sampled_from([*map(jsd_kind, (0.1, 0.5, 0.9)), FORWARD_KL, REVERSE_KL]))
     config = TrainConfig(
         kind=kind,
         rounds=draw(st.integers(1, 3)),
         iterations=draw(st.integers(1, 4)),
+        eta=draw(st.sampled_from([0.1, 1e3, 1e300])),
         eps=draw(st.sampled_from([1e-8, 0.0])) if kind.name == "jsd" else DEFAULT_FLOOR,
         seed=draw(st.integers(0, 2**32)),
     )
@@ -636,7 +650,12 @@ class TestRandomWorldsAgainstTheOracle:
     @given(small_runs())
     def test_train_matches_the_frozen_per_step_oracle(self, run):
         world, specs, config = run
-        want = uncached_train(world, [MockTeacher(spec) for spec in specs], config)
+        try:
+            want = uncached_train(world, [MockTeacher(spec) for spec in specs], config)
+        except Exception as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                train(world, [MockTeacher(spec) for spec in specs], config)
+            return
         got = train(world, [MockTeacher(spec) for spec in specs], config)
         assert_run_matches_oracle(got, want)
 
