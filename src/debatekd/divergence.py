@@ -19,15 +19,17 @@ gradient ceilings: it splits its trials over the vocabularies and cuts the
 shares, in vocabulary order, into chunks of a fixed number of padded
 entries (a large share fills single-vocabulary chunks, consecutive small
 shares share one, zero-padded to its widest row). It draws each chunk's
-near-disjoint, random and spiked rows and scores them at the drawn students
-in one `batch` call, keeping only the running maxima of the pairs scored
-alone and their first witnesses (point-mass pairs first, then the rows in
-chunk order), so its peak memory is flat in the trial count.
+near-disjoint, random and spiked rows and scores the rows of each of its
+vocabularies with one `batch` call at their own width, at the drawn
+students, keeping only the running maxima and their first witnesses
+(point-mass pairs first, then the rows in chunk order), so its peak memory
+is flat in the trial count.
 The reverse-KL probe shows the gradient blow-up as teacher mass vanishes on
 student-supported tokens. Row sums and row dot products reduce each row as
 the one-row numpy call would, so a stacked call of rows of one width is
-bit-identical to one call per row; zero padding adds exact zeros but can
-regroup a row's sum by ulps.
+bit-identical to one call per row where BLAS reduces a dot product alike
+whatever the row count: on the OpenBLAS kernel the digests were pinned on,
+not on every kernel (ROADMAP item 1).
 
 Conventions: natural logs, 0*log(0) := 0, and the reverse direction is
 defined as rev(p||q) := KL(q||p). Infinite losses are reported as a genuine
@@ -425,48 +427,8 @@ def _beats(x: float, best: float) -> bool:
     return x > best or (math.isnan(x) and not math.isnan(best))
 
 
-#: Half-width, in units of 1 + |value|, of the band below a chunk's maximum
-#: in which a padded row is scored again alone. Padding moves a sweep row's
-#: value by a few eps |V| (`within_eps_v` in the tests), and eps |V| is at
-#: most 2^-38 in a chunk of _CHUNK_ENTRIES entries; a wider band only costs
-#: rescoring.
-_REGROUP_BAND = 2.0**-32
-
-
 def _witness(p: np.ndarray, q: np.ndarray) -> dict:
     return {"vocab": p.size, "p": p.tolist(), "q": q.tolist()}
-
-
-def _first_maximum(values, vocab, P, Q, score, best):
-    """(value, witness) of the first maximum of a chunk's rows scored
-    alone, score(P[rows, :v], Q[rows, :v]), if it beats best; else None.
-
-    A row as wide as the chunk has no padding, so its chunk value is its
-    value alone: a stacked call of rows of one width reduces each row as
-    the one-row call. A narrower row's padding regroups its sums, so every
-    narrower row whose value lies within _REGROUP_BAND of the maximum is
-    scored again alone, one call per vocabulary; a row outside the band
-    is below best or below another row's value alone. A NaN stays the
-    maximum.
-    """
-    if math.isnan(best):
-        return None
-    narrow = vocab < vocab.max()
-    band = np.where(narrow, _REGROUP_BAND * (1 + np.abs(values)), 0.0)
-    nan = np.isnan(values)
-    floor = np.max(values - band, initial=best, where=~nan)
-    rows = np.flatnonzero(nan | (values + band >= floor))
-    if not rows.size:
-        return None
-    exact = values[rows]
-    for v in set(vocab[rows[narrow[rows]]].tolist()):
-        again = vocab[rows] == v
-        exact[again] = score(P[rows[again], :v], Q[rows[again], :v])
-    k = int(np.argmax(exact))  # the first NaN, else the first maximum
-    if not _beats(exact[k], best):
-        return None
-    i, v = rows[k], vocab[rows[k]]
-    return exact[k], _witness(P[i, :v], Q[i, :v])
 
 
 def jsd_bound_probe(
@@ -484,18 +446,16 @@ def jsd_bound_probe(
     the trials. The shares, in vocabulary order, are cut into `_chunks` of
     at most _CHUNK_ENTRIES padded entries; each chunk is drawn as one
     `_draw_block` and scored as soon as it is drawn, so the peak memory
-    does not grow with n_trials. One `batch` call scores a chunk's JSD
-    values and gradients at its drawn students, each its own softmax(log q)
-    (positive on its vocabulary); the forward-KL gradient is Q - P. Padding
-    is 0 in p and q and adds exact zeros to every value, gradient and norm.
+    does not grow with n_trials. Each vocabulary's rows of a chunk are
+    scored at their own width in one `batch` call, which gives their JSD
+    values and gradients at the drawn students, each its own
+    softmax(log q) (positive on its vocabulary), so padding never reaches
+    the kernel; the forward-KL gradient is Q - P, whose padding is 0.
 
     The loss and JSD gradient maxima are over every pair scored alone at
     its own vocabulary, as its witness is read, and a witness is the first
     maximum in scan order: the point-mass pair at the first vocabulary,
-    then the rows in chunk order. Padding regroups numpy's row sums, so
-    the padded rows near a chunk's maximum are scored again alone (see
-    `_first_maximum`). The forward-KL maximum, which has no witness, is
-    over the chunk values.
+    then the rows in chunk order. The forward-KL maximum has no witness.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -504,32 +464,29 @@ def jsd_bound_probe(
     kind = jsd_kind(beta)
     vocab_sizes = [int(v) for v in vocab_sizes]
     max_inf_norm = max_fwd = -math.inf
-
-    def losses_of(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        return batch(kind, p, q, grad=False)[0]
-
-    def grad_norms_of(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        return _inf_norms(batch(kind, p, q)[1])
-
     # Scored once: every zero of the pair adds an exact 0 term to its row
     # sums, so its value does not depend on |V| at any beta.
     pm = np.eye(2, vocab_sizes[0])
-    max_loss = losses_of(pm[:1], pm[1:])[0]
+    max_loss = batch(kind, pm[:1], pm[1:], grad=False)[0][0]
     witness_loss = _witness(*pm)
     shares = ((v, len(range(k, n_trials, len(vocab_sizes)))) for k, v in enumerate(vocab_sizes))
     for chunk in _chunks(shares):
-        vocab = np.repeat(*np.array(chunk).T)
-        p, q = _draw_block(vocab, rng)
+        p, q = _draw_block(np.repeat(*np.array(chunk).T), rng)
         validate_probs(p)
         validate_probs(q)
-        losses, g = batch(kind, p, q)
         max_fwd = np.maximum(max_fwd, _inf_norms(q - p).max())
-        found = _first_maximum(losses, vocab, p, q, losses_of, max_loss)
-        if found:
-            max_loss, witness_loss = found
-        found = _first_maximum(_inf_norms(g), vocab, p, q, grad_norms_of, max_inf_norm)
-        if found:
-            max_inf_norm, witness_grad = found
+        start = 0
+        for v, n in chunk:
+            P, Q = p[start : start + n, :v], q[start : start + n, :v]
+            start += n
+            losses, g = batch(kind, P, Q)
+            k = int(losses.argmax())  # the first NaN, else the first maximum
+            if _beats(losses[k], max_loss):
+                max_loss, witness_loss = losses[k], _witness(P[k], Q[k])
+            norms = _inf_norms(g)
+            k = int(norms.argmax())
+            if _beats(norms[k], max_inf_norm):
+                max_inf_norm, witness_grad = norms[k], _witness(P[k], Q[k])
 
     return BoundProbeReport(
         beta=beta,

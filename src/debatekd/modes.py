@@ -115,8 +115,10 @@ def _normal_tail(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     |z|; exp(-z^2 / 2) is the factor the erfc forms share. Its relative
     error is within 1e-15 (1 + z^2) wherever the tail is a normal double
     (|z| <= 37); it stays positive until it underflows near |z| = 38. Every
-    entry depends only on its own z: the matmul reduces each column in the
-    same order whatever the column count.
+    entry's bits depend only on its own z where the matmul reduces each
+    column in the same order whatever the column count: so on the OpenBLAS
+    kernel the digests were pinned on (SkylakeX), not under
+    OPENBLAS_CORETYPE=Haswell or Prescott (ROADMAP item 1).
     """
     powers = np.empty((11, z.size))
     t = np.minimum(np.abs(z).reshape(-1), _T_CAP, out=powers[1])
@@ -145,7 +147,8 @@ def _bin_masses(z: np.ndarray, tail: np.ndarray) -> np.ndarray:
 def _binned_gaussian(edges: np.ndarray, mean, width) -> np.ndarray:
     """Bin masses of N(mean, width^2) between consecutive edges; (R, 1)
     columns of means and widths give one row each, and a stacked call is
-    bit-identical to one call per row.
+    bit-identical to one call per row where _normal_tail's matmul is (on
+    the OpenBLAS kernel the digests were pinned on; ROADMAP item 1).
 
     Both tails are read as lower tails (_normal_tail), so masses stay
     positive out to ~38 widths on either side of the mean instead of
@@ -288,9 +291,11 @@ def _costs_and_gradients(
     the teacher row P, and its exact gradient in x[r], for every row r.
 
     One _normal_tail call, one validate_probs and one `batch` call, with a
-    kind per row, cover the block; rows never mix, so each row is
-    bit-identical to a block of its own. An invalid student raises
-    RestrictedStudent's ValueError.
+    kind per row, cover the block; rows never mix, so each row equals a
+    block of its own, bit for bit on the OpenBLAS kernel the digests were
+    pinned on; its matrix products (`dlog @ G` and those in _normal_tail
+    and `batch`) may block by the row count on other kernels (ROADMAP
+    item 1). An invalid student raises RestrictedStudent's ValueError.
     """
     if not np.isfinite(x).all():
         raise ValueError("student parameters must be finite")

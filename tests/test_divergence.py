@@ -18,7 +18,6 @@ from debatekd.divergence import (
     _CHUNK_ENTRIES,
     _chunks,
     _draw_block,
-    _first_maximum,
     batch,
     divergence_value,
     finite_difference_gradient,
@@ -489,11 +488,14 @@ class TestBoundProbes:
         ]:
             assert (figure, w["vocab"]) == (value, vocab)
 
-    def test_one_kernel_call_per_chunk(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "n_trials, vocab_sizes", [(4096, [64]), (997, list(range(2, 65)))], ids=["one-vocab", "mixed"]
+    )
+    def test_one_kernel_call_per_chunk(self, n_trials, vocab_sizes, monkeypatch):
         real, calls = divergence.batch, []
 
         def counted(kind, P, Q, grad=True):
-            calls.append(len(Q))
+            calls.append(Q)
             return real(kind, P, Q, grad)
 
         def unused(*args):
@@ -502,26 +504,15 @@ class TestBoundProbes:
         monkeypatch.setattr(divergence, "batch", counted)
         monkeypatch.setattr(divergence, "softmax_rows", unused)
         monkeypatch.setattr(divergence, "validate_logits", unused)
-        jsd_bound_probe(4096, [64], RngSeed(0).stream("probes"))
-        # the point-mass pair, then 16 chunks of 2^14 entries; no row is
-        # padded, so none is scored again
-        assert calls == [1] + [_CHUNK_ENTRIES // 64] * 16
-
-    def test_a_padded_row_just_below_the_maximum_is_scored_alone(self):
-        x = math.log(2)
-        values = np.array([np.nextafter(x, 0), 0.1, x, np.nextafter(x, 0)])
-        vocab = np.array([2, 2, 3, 3])
-        P = Q = np.full((4, 3), 1 / 3)
-        calls = []
-
-        def score(p, q):  # the narrow rows scored alone: one ulp above x
-            calls.append(len(p))
-            return np.full(len(p), np.nextafter(x, 1))
-
-        value, w = _first_maximum(values, vocab, P, Q, score, -math.inf)
-        # row 1 lies far below the band and row 3 is unpadded: neither is rescored
-        assert value == np.nextafter(x, 1) and w["vocab"] == 2 and calls == [1]
-        assert _first_maximum(values, vocab, P, Q, score, 1.0) is None
+        jsd_bound_probe(n_trials, vocab_sizes, RngSeed(0).stream("probes"))
+        shares = ((v, len(range(k, n_trials, len(vocab_sizes)))) for k, v in enumerate(vocab_sizes))
+        groups = [n for chunk in _chunks(shares) for _, n in chunk]
+        # the point-mass pair, then one call per vocabulary of each chunk
+        # (at |V| = 64, 16 chunks of 2^14 entries), none with padding
+        assert [len(Q) for Q in calls] == [1] + groups
+        assert all(Q.all() for Q in calls[1:])
+        if vocab_sizes == [64]:
+            assert groups == [_CHUNK_ENTRIES // 64] * 16
 
     @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7])
     def test_point_mass_value_does_not_depend_on_vocab(self, beta):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import step_reference as frozen
 import validator_reference as reference
 from conftest import probability_vectors
 from debatekd import training
@@ -512,8 +513,8 @@ def reference_task_accuracy(policy, world):
 
 def uncached_train(world, teachers, config):
     """train()'s per-step loop without its memos, frozen as the byte-parity
-    oracle: every step is drawn by reference_rollout, debates fresh
-    teachers, weights its confidences and force-decodes its targets, and
+    oracle: every step is drawn by reference_rollout, debates the teachers'
+    specs afresh and scores its token losses through step_reference, and
     accuracy is the per-state reference loop. A row the next iteration
     could not softmax ends the run at the step reference_first_unusable_step
     names, keeping the aborting iteration."""
@@ -525,11 +526,10 @@ def uncached_train(world, teachers, config):
         traj = reference_rollout(world, policy, int(rng.integers(world.n_states)), rng)
         tool_grads, arg_grads, total = {}, {}, 0.0
         for state, action in traj:
-            fresh = [MockTeacher(t.spec) for t in teachers]
-            result = run_debate(fresh, state, config.rounds)
-            w = confidence_to_weights(ConfidenceScores(result.confidences, config.tau_conf))
-            tool_rep, arg_rep = step_token_losses(
-                config.kind, world, result.post_dists, w, policy, state, action, config.eps
+            post_dists, confidences = frozen.run_debate([t.spec for t in teachers], state, config.rounds)
+            w = confidence_to_weights(ConfidenceScores(confidences, config.tau_conf))
+            tool_rep, arg_rep = frozen.step_token_losses(
+                config.kind, world, post_dists, w, policy, state, action, config.eps
             )
             total += 0.5 * (tool_rep.value + arg_rep.value)
             token_loss.append((tool_rep.value, arg_rep.value))
