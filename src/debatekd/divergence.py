@@ -19,17 +19,23 @@ gradient ceilings: it splits its trials over the vocabularies and cuts the
 shares, in vocabulary order, into chunks of a fixed number of padded
 entries (a large share fills single-vocabulary chunks, consecutive small
 shares share one, zero-padded to its widest row). It draws each chunk's
-near-disjoint, random and spiked rows and scores the rows of each of its
-vocabularies with one `batch` call at their own width, at the drawn
-students, keeping only the running maxima and their first witnesses
-(point-mass pairs first, then the rows in chunk order), so its peak memory
-is flat in the trial count.
+near-disjoint, random and spiked rows and scores the whole chunk with one
+`batch` call at the drawn students, passing the chunk's (vocab, rows) runs,
+keeping only the running maxima and their first witnesses (point-mass pairs
+first, then the rows in chunk order), so its peak memory is flat in the
+trial count.
 The reverse-KL probe shows the gradient blow-up as teacher mass vanishes on
 student-supported tokens. Row sums and row dot products reduce each row as
 the one-row numpy call would, so a stacked call of rows of one width is
 bit-identical to one call per row where BLAS reduces a dot product alike
 whatever the row count: on the OpenBLAS kernel the digests were pinned on,
-not on every kernel (ROADMAP item 1).
+not on every kernel (ROADMAP item 1). The runs contract extends this to rows
+of several widths: for one kind, `batch` takes runs, (vocab, rows) pairs that
+cover Q's rows in order, each row exactly 0 beyond its vocabulary in P and
+Q. The elementwise work runs once over the padded block, and the row sums
+and row dot products reduce each run's rows cut to its width (`_by_run`), so
+padding never enters a reduction: each row's value, and its first vocab
+gradient entries, are bit-identical to its call cut to its vocabulary.
 
 Conventions: natural logs, 0*log(0) := 0, and the reverse direction is
 defined as rev(p||q) := KL(q||p). Infinite losses are reported as a genuine
@@ -42,7 +48,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -127,8 +135,23 @@ class GradientReport:
         return math.isfinite(self.value) and bool(np.all(np.isfinite(self.logit_grad)))
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row dot products; stacked matmul reduces each row as np.dot does."""
+def _by_run(reduce, runs, *arrays: np.ndarray) -> np.ndarray:
+    """reduce(*arrays) over each run's rows cut to that run's width, in
+    order; runs are (vocab, rows) pairs that cover the rows. Zero padding
+    thus never enters a row's reduction, so each row reduces as it would
+    alone at its own width."""
+    out, start = [], 0
+    for vocab, n in runs:
+        out.append(reduce(*(x[start : start + n, :vocab] for x in arrays)))
+        start += n
+    return np.concatenate(out)
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray, runs=None) -> np.ndarray:
+    """Row dot products; stacked matmul reduces each row as np.dot does.
+    With runs, each run's rows at its width (`_by_run`)."""
+    if runs is not None:
+        return _by_run(_row_dot, runs, a, b)
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
@@ -158,15 +181,18 @@ def _log_ratio(a: np.ndarray, b: np.ndarray, mixture: bool = False) -> np.ndarra
     return out
 
 
-def _kl_rows(a: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
+def _kl_rows(a: np.ndarray, log_ratio: np.ndarray, runs=None) -> np.ndarray:
     """Row-wise KL(a||b) from log_ratio = _log_ratio(a, b); a zero in a adds
-    an exact 0 term to its row."""
-    return np.maximum((a * log_ratio).sum(axis=-1), 0.0)
+    an exact 0 term to its row. With runs, the products are taken over the
+    whole block and the sums over each run's rows at its width (`_by_run`)."""
+    terms = a * log_ratio
+    sums = terms.sum(axis=-1) if runs is None else _by_run(partial(np.sum, axis=-1), runs, terms)
+    return np.maximum(sums, 0.0)
 
 
-def _centred(Q: np.ndarray, ell: np.ndarray) -> np.ndarray:
+def _centred(Q: np.ndarray, ell: np.ndarray, runs=None) -> np.ndarray:
     """Logit gradient Q * (ell - E_Q ell) of a loss whose gradient in Q is ell."""
-    return Q * (ell - _row_dot(Q, ell)[:, None])
+    return Q * (ell - _row_dot(Q, ell, runs)[:, None])
 
 
 def _terms(kind: DivergenceKind, P, Q) -> tuple:
@@ -183,21 +209,22 @@ def _terms(kind: DivergenceKind, P, Q) -> tuple:
     return ((1 - beta, Q, m), (beta, P, m))
 
 
-def _one_kind(kind: DivergenceKind, P: np.ndarray, Q: np.ndarray, grad: bool):
+def _one_kind(kind: DivergenceKind, P: np.ndarray, Q: np.ndarray, grad: bool, runs=None):
     """`batch` for rows of one kind: each of its terms over all rows, then
     the rest of its formula. JSD's rows with P == Q are 0. The logit
     gradient is Q - P for forward KL; otherwise the first term's A is Q,
     and it is that term's weight times Q (ell - E_Q ell) for its log ratio
     ell, with +inf on the teacher zeros and -inf elsewhere on a reverse-KL
-    row of value +inf.
+    row of value +inf. With runs, only the row sums and dot products are
+    cut to each run's width.
     """
     mixture = kind.name == "jsd"
     terms = _terms(kind, P, Q)
     weight, A, B = terms[0]
     ell = _log_ratio(A, B, mixture)
-    values = weight * _kl_rows(A, ell)
+    values = weight * _kl_rows(A, ell, runs)
     for w, a, b in terms[1:]:
-        values += w * _kl_rows(a, _log_ratio(a, b, mixture))
+        values += w * _kl_rows(a, _log_ratio(a, b, mixture), runs)
     if mixture:
         # identity holds exactly; the mixture would round otherwise
         values[(P == Q).all(axis=-1)] = 0.0
@@ -205,7 +232,7 @@ def _one_kind(kind: DivergenceKind, P: np.ndarray, Q: np.ndarray, grad: bool):
         return values, None
     if kind.name == "forward_kl":
         return values, Q - P
-    g = _centred(Q, ell)
+    g = _centred(Q, ell, runs)
     g *= weight
     if kind.name == "reverse_kl":
         inf = values == math.inf
@@ -258,11 +285,27 @@ def _mixed(kinds: tuple, P: np.ndarray, Q: np.ndarray, grad: bool):
     return values, G
 
 
+def _check_runs(kind, P: np.ndarray, Q: np.ndarray, runs) -> None:
+    """Raise a ValueError naming what makes runs unusable for `batch`."""
+    if not isinstance(kind, DivergenceKind):
+        raise ValueError("runs take one DivergenceKind, not a tuple of kinds")
+    if len(P) != len(Q):
+        raise ValueError(f"runs need one teacher row per student row, got {len(P)} and {len(Q)}")
+    vocab = Q.shape[-1]
+    for width, n in runs:
+        if not 2 <= width <= vocab or n < 0:
+            raise ValueError(f"run ({width}, {n}) needs a width in 2..{vocab} and rows >= 0")
+    covered = sum(n for _, n in runs)
+    if covered != len(Q):
+        raise ValueError(f"runs cover {covered} rows, Q has {len(Q)}")
+
+
 def batch(
     kind: DivergenceKind | tuple[DivergenceKind, ...],
     P: np.ndarray,
     Q: np.ndarray,
     grad: bool = True,
+    runs: Sequence[tuple[int, int]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Divergence of teacher rows P from student rows Q, one value per row.
 
@@ -273,6 +316,14 @@ def batch(
     zero adds nothing, by 0 log 0 := 0. Inputs are not validated beyond a
     matching vocabulary and kind count: the wrappers check them at the API
     edge.
+
+    runs, for one kind only, is a sequence of (vocab, rows) pairs that
+    covers Q's rows in order, with one teacher row per student row; each row
+    must be exactly 0 beyond its vocabulary in both P and Q. The row sums
+    and dot products then reduce each run's rows cut to its width, so each
+    row's value and its first vocab gradient entries are bit-identical to
+    the call on that row cut to its vocabulary; JSD's padded gradient
+    entries are 0. Malformed runs raise a ValueError naming the problem.
 
     Each kind's value is a weighted sum of KL terms (`_terms`). Rows of one
     kind, a tuple of equal kinds included, score those terms one at a time
@@ -288,9 +339,11 @@ def batch(
     """
     if P.shape[-1] != Q.shape[-1]:
         raise ValueError(f"vocab mismatch: {P.shape[-1]} vs {Q.shape[-1]}")
+    if runs is not None:
+        _check_runs(kind, P, Q, runs)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if isinstance(kind, DivergenceKind):
-            return _one_kind(kind, P, Q, grad)
+            return _one_kind(kind, P, Q, grad, runs)
         if kind and kind.count(kind[0]) == len(kind) == len(Q):
             return _one_kind(kind[0], P, Q, grad)
         return _mixed(kind, P, Q, grad)
@@ -350,7 +403,9 @@ class BoundProbeReport:
     witness_grad: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps({"kind": "jsd", **dataclasses.asdict(self)}, indent=2)
+        # the fields as they are: asdict would deep-copy the witness lists
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return json.dumps({"kind": "jsd", **fields}, indent=2)
 
 
 #: Dirichlet concentrations of a random row, drawn per row and per side.
@@ -427,8 +482,9 @@ def _beats(x: float, best: float) -> bool:
     return x > best or (math.isnan(x) and not math.isnan(best))
 
 
-def _witness(p: np.ndarray, q: np.ndarray) -> dict:
-    return {"vocab": p.size, "p": p.tolist(), "q": q.tolist()}
+def _witness(p: np.ndarray, q: np.ndarray, vocab: int) -> dict:
+    """A pair as a report names it: its rows cut to its vocabulary."""
+    return {"vocab": int(vocab), "p": p[:vocab].tolist(), "q": q[:vocab].tolist()}
 
 
 def jsd_bound_probe(
@@ -446,11 +502,14 @@ def jsd_bound_probe(
     the trials. The shares, in vocabulary order, are cut into `_chunks` of
     at most _CHUNK_ENTRIES padded entries; each chunk is drawn as one
     `_draw_block` and scored as soon as it is drawn, so the peak memory
-    does not grow with n_trials. Each vocabulary's rows of a chunk are
-    scored at their own width in one `batch` call, which gives their JSD
-    values and gradients at the drawn students, each its own
-    softmax(log q) (positive on its vocabulary), so padding never reaches
-    the kernel; the forward-KL gradient is Q - P, whose padding is 0.
+    does not grow with n_trials. Each chunk is scored in one `batch` call
+    whose runs are the chunk, which gives its JSD values and gradients at
+    the drawn students, each its own softmax(log q) (positive on its
+    vocabulary): by the runs contract each row is bit-identical to its call
+    at its own vocabulary, and its padded gradient entries are 0, so its
+    inf-norm is the cut row's too; the forward-KL gradient is Q - P, whose
+    padding is 0. One argmax over the chunk's losses and one over its norms
+    find the chunk's first maximum (or first NaN), in scan order.
 
     The loss and JSD gradient maxima are over every pair scored alone at
     its own vocabulary, as its witness is read, and a witness is the first
@@ -468,25 +527,22 @@ def jsd_bound_probe(
     # sums, so its value does not depend on |V| at any beta.
     pm = np.eye(2, vocab_sizes[0])
     max_loss = batch(kind, pm[:1], pm[1:], grad=False)[0][0]
-    witness_loss = _witness(*pm)
+    witness_loss = _witness(*pm, vocab_sizes[0])
     shares = ((v, len(range(k, n_trials, len(vocab_sizes)))) for k, v in enumerate(vocab_sizes))
     for chunk in _chunks(shares):
-        p, q = _draw_block(np.repeat(*np.array(chunk).T), rng)
+        vocab = np.repeat(*np.array(chunk).T)
+        p, q = _draw_block(vocab, rng)
         validate_probs(p)
         validate_probs(q)
         max_fwd = np.maximum(max_fwd, _inf_norms(q - p).max())
-        start = 0
-        for v, n in chunk:
-            P, Q = p[start : start + n, :v], q[start : start + n, :v]
-            start += n
-            losses, g = batch(kind, P, Q)
-            k = int(losses.argmax())  # the first NaN, else the first maximum
-            if _beats(losses[k], max_loss):
-                max_loss, witness_loss = losses[k], _witness(P[k], Q[k])
-            norms = _inf_norms(g)
-            k = int(norms.argmax())
-            if _beats(norms[k], max_inf_norm):
-                max_inf_norm, witness_grad = norms[k], _witness(P[k], Q[k])
+        losses, g = batch(kind, p, q, runs=chunk)
+        k = int(losses.argmax())  # the first NaN, else the first maximum
+        if _beats(losses[k], max_loss):
+            max_loss, witness_loss = losses[k], _witness(p[k], q[k], vocab[k])
+        norms = _inf_norms(g)
+        k = int(norms.argmax())
+        if _beats(norms[k], max_inf_norm):
+            max_inf_norm, witness_grad = norms[k], _witness(p[k], q[k], vocab[k])
 
     return BoundProbeReport(
         beta=beta,

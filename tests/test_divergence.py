@@ -1,4 +1,6 @@
+import hashlib
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -8,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mp_reference
-from conftest import logit_vectors, probability_vectors
+from conftest import DIGEST_NUMPY, logit_vectors, probability_vectors
 from debatekd import divergence
 from debatekd.divergence import (
     FORWARD_KL,
@@ -18,6 +20,7 @@ from debatekd.divergence import (
     _CHUNK_ENTRIES,
     _chunks,
     _draw_block,
+    _inf_norms,
     batch,
     divergence_value,
     finite_difference_gradient,
@@ -430,6 +433,20 @@ class TestFiniteDifferenceOracle:
             np.testing.assert_allclose(fd[mask], closed[mask], rtol=1e-5, atol=1e-9)
 
 
+#: sha256 of jsd_bound_probe(2000, vocab_sizes, RngSeed(0).stream("probes"),
+#: beta).to_json() on layouts the artifact digests do not reach: falling
+#: widths, so that most chunks hold many runs, and a short unsorted list,
+#: whose first chunk narrows and then widens. Taken before `batch` took runs.
+FALLING = list(range(64, 1, -1))
+PROBE_DIGESTS = [
+    (FALLING, 0.3, "f9451145262404732def149d8fdce858b2588a7ebe2283727e58821ff6a6c81f"),
+    (FALLING, 0.5, "d347c5d62baa538e894a5731d648dfb93320d8800156bf4ddd9a9b59b74ac582"),
+    ([5, 2, 9], 0.3, "3e8a9c7beb61b50344b9a1d64eb32c5d27d0e4ab729e768cb197f7af3ded1fdf"),
+    ([5, 2, 9], 0.5, "2c7ce41a4b5daf68be3a0ada623f5dddf962572c5dd06c4e2244cea089b2f2f5"),
+]
+PROBE_DIGEST_IDS = ["64-to-2-beta0.3", "64-to-2-beta0.5", "5-2-9-beta0.3", "5-2-9-beta0.5"]
+
+
 class TestBoundProbes:
     def test_jsd_probe_small_sweep(self):
         rng = RngSeed(0).stream("probes")
@@ -470,8 +487,8 @@ class TestBoundProbes:
 
     @pytest.mark.parametrize("seed, n_trials", [(0, 2000), (1, 2000), (5, 997)])
     def test_maxima_are_over_every_pair_scored_alone(self, seed, n_trials):
-        # at 2000 pairs, seed 0, a narrower row is one ulp above the padded
-        # maximum's row once both are scored alone
+        # the probe scores a whole padded chunk in one call; every maximum
+        # must still be the one of the pairs scored alone at their widths
         vocabs, kind = list(range(2, 65)), jsd_kind(0.5)
         report = jsd_bound_probe(n_trials, vocabs, RngSeed(seed).stream("probes"))
         rng, losses, norms = RngSeed(seed).stream("probes"), [], []
@@ -494,9 +511,9 @@ class TestBoundProbes:
     def test_one_kernel_call_per_chunk(self, n_trials, vocab_sizes, monkeypatch):
         real, calls = divergence.batch, []
 
-        def counted(kind, P, Q, grad=True):
-            calls.append(Q)
-            return real(kind, P, Q, grad)
+        def counted(kind, P, Q, grad=True, runs=None):
+            calls.append((Q, runs))
+            return real(kind, P, Q, grad, runs)
 
         def unused(*args):
             raise AssertionError("the probe forms no student logits")
@@ -506,13 +523,15 @@ class TestBoundProbes:
         monkeypatch.setattr(divergence, "validate_logits", unused)
         jsd_bound_probe(n_trials, vocab_sizes, RngSeed(0).stream("probes"))
         shares = ((v, len(range(k, n_trials, len(vocab_sizes)))) for k, v in enumerate(vocab_sizes))
-        groups = [n for chunk in _chunks(shares) for _, n in chunk]
-        # the point-mass pair, then one call per vocabulary of each chunk
-        # (at |V| = 64, 16 chunks of 2^14 entries), none with padding
-        assert [len(Q) for Q in calls] == [1] + groups
-        assert all(Q.all() for Q in calls[1:])
+        chunks = list(_chunks(shares))
+        # the point-mass pair, then one call per chunk, at the chunk's widest
+        # row, whose runs are the chunk (at |V| = 64, 16 chunks of 2^14 entries)
+        assert [runs for _, runs in calls] == [None] + chunks
+        assert calls[0][0].shape == (1, vocab_sizes[0])
+        for (Q, _), chunk in zip(calls[1:], chunks):
+            assert Q.shape == (sum(n for _, n in chunk), max(v for v, _ in chunk))
         if vocab_sizes == [64]:
-            assert groups == [_CHUNK_ENTRIES // 64] * 16
+            assert chunks == [[(64, _CHUNK_ENTRIES // 64)]] * 16
 
     @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7])
     def test_point_mass_value_does_not_depend_on_vocab(self, beta):
@@ -548,10 +567,10 @@ class TestBoundProbes:
     def test_a_nan_maximum_stays_visible(self, monkeypatch):
         real, real_norms = divergence.batch, divergence._inf_norms
 
-        def nan_at_vocab_3(kind, P, Q, grad=True):
-            values, g = real(kind, P, Q, grad)
-            # the rows of vocabulary 3, in a padded chunk or scored alone:
-            # every sweep student is positive on its own vocabulary
+        def nan_at_vocab_3(kind, P, Q, grad=True, runs=None):
+            values, g = real(kind, P, Q, grad, runs)
+            # the rows of vocabulary 3 of a padded chunk: every sweep
+            # student is positive on its own vocabulary and 0 on its padding
             rows = (Q > 0).sum(axis=-1) == 3
             values[rows] = math.nan
             if grad:
@@ -559,8 +578,9 @@ class TestBoundProbes:
             return values, g
 
         def nan_norms_at_vocab_3(g):
-            # the forward-KL norm is taken of Q - P, which here is nonzero
-            # on every token of the row's own vocabulary and 0 on its padding
+            # the JSD rows of vocabulary 3 are NaN already; the forward-KL
+            # norm is taken of Q - P, which here is nonzero on every token
+            # of the row's own vocabulary and 0 on its padding
             norms = real_norms(g)
             norms[(g != 0).sum(axis=-1) == 3] = math.nan
             return norms
@@ -571,6 +591,15 @@ class TestBoundProbes:
         assert math.isnan(report.max_loss) and report.witness_loss["vocab"] == 3
         assert math.isnan(report.max_inf_norm) and report.witness_grad["vocab"] == 3
         assert math.isnan(report.max_fwd_inf_norm)
+
+    @pytest.mark.skipif(
+        np.__version__ != DIGEST_NUMPY,
+        reason=f"digests were taken on numpy {DIGEST_NUMPY}; other versions may round differently",
+    )
+    @pytest.mark.parametrize("vocab_sizes, beta, digest", PROBE_DIGESTS, ids=PROBE_DIGEST_IDS)
+    def test_reports_are_byte_identical(self, vocab_sizes, beta, digest):
+        report = jsd_bound_probe(2000, vocab_sizes, RngSeed(0).stream("probes"), beta=beta)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("vocab", [2, 3, 64, "mixed"])
     def test_block_rows_belong_to_their_families(self, vocab):
@@ -694,6 +723,67 @@ def mixed_stacks(draw):
 def within_eps_v(got, ref, scale, vocab):
     """The stated bound: |got - ref| <= eps |V| scale, elementwise."""
     return bool(np.all(np.abs(np.asarray(got) - np.asarray(ref)) <= EPS * vocab * scale))
+
+
+@st.composite
+def padded_runs(draw):
+    """(runs, P, Q): 1-4 runs of 0-4 rows at widths 2..V, zero-padded to a
+    block of width V; each row is a `sweep_rows` pair at its run's width,
+    half the time with teacher zeros inside that width."""
+    vocab = draw(st.integers(2, 40))
+    run = st.tuples(st.integers(2, vocab), st.integers(0, 4))
+    runs = draw(st.lists(run, min_size=1, max_size=4))
+    widths = [v for v, n in runs for _ in range(n)]
+    assume(widths)
+    P, Q = np.zeros((2, len(widths), vocab))
+    for r, v in enumerate(widths):
+        p, q = draw(sweep_rows(v))
+        if draw(st.booleans()):
+            zeros = np.array(draw(st.lists(st.booleans(), min_size=v, max_size=v)))
+            zeros[draw(st.integers(0, v - 1))] = False
+            p = np.where(zeros, 0.0, p)
+            assume(p.sum() > 0)
+            p /= p.sum()
+        P[r, :v], Q[r, :v] = p, q
+    return runs, P, Q
+
+
+class TestRuns:
+    """`batch` with runs: each row as its call cut to its run's width."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(padded_runs(), st.sampled_from(ALL_KINDS), st.booleans())
+    def test_each_row_equals_its_cut_row_bit_for_bit(self, block, kind, grad):
+        runs, P, Q = block
+        values, g = batch(kind, P, Q, grad, runs)
+        assert (g is None) == (not grad)
+        for r, v in enumerate(np.repeat(*np.array(runs).T)):
+            value, cut = batch(kind, P[r : r + 1, :v], Q[r : r + 1, :v], grad)
+            assert values[r].tobytes() == value[0].tobytes()
+            if not grad:
+                continue
+            assert g[r, :v].tobytes() == cut[0].tobytes()
+            if kind.name == "jsd":
+                # so the probe's norm of a padded row is its cut row's
+                assert (g[r, v:] == 0).all()
+                assert _inf_norms(g[r]).tobytes() == _inf_norms(cut[0]).tobytes()
+
+    @pytest.mark.parametrize(
+        "kind, teachers, runs, problem",
+        [
+            (jsd_kind(0.5), 3, [(4, 2)], "runs cover 2 rows, Q has 3"),
+            (jsd_kind(0.5), 3, [(4, 2), (3, 2)], "runs cover 4 rows, Q has 3"),
+            (jsd_kind(0.5), 3, [(4, 4), (3, -1)], "run (3, -1) needs a width in 2..4"),
+            (FORWARD_KL, 3, [(4, 2), (5, 1)], "run (5, 1) needs a width in 2..4 and rows >= 0"),
+            (REVERSE_KL, 3, [(1, 3)], "run (1, 3) needs a width in 2..4 and rows >= 0"),
+            (jsd_kind(0.5), 1, [(4, 3)], "runs need one teacher row per student row, got 1 and 3"),
+            ((FORWARD_KL,) * 3, 3, [(4, 3)], "runs take one DivergenceKind, not a tuple of kinds"),
+        ],
+    )
+    def test_malformed_runs_are_named(self, kind, teachers, runs, problem):
+        P = np.full((teachers, 4), 0.25)
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            batch(kind, P, np.full((3, 4), 0.25), runs=runs)
 
 
 class TestMixedKinds:

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import DIGEST_NUMPY
 from debatekd import harness
 from debatekd.cli import main
 from debatekd.divergence import REVERSE_KL, jsd_kind
@@ -319,7 +320,6 @@ class TestRunArtifacts:
 #: chunks. The opad-complementary metrics.csv digest is the seed-0 `train`
 #: figure of bench/README.md, whose seed-0 `sweep` figure predates the
 #: padded chunks.
-DIGEST_NUMPY = "2.4.6"
 ARTIFACT_DIGESTS = {
     "bounds": (
         {"experiment": "bounds", "iterations": 2000},
