@@ -7,10 +7,13 @@ teachers and transcript output read it, the student never does, which is
 why no student-facing type in this package can hold a transcript.
 
 Mock teachers revise by confidence-free geometric pooling at rate lambda:
-post proportional to base^(1-lambda) * (prod_j prev_j)^(lambda/K). A mock's
-self-reported confidence is 100 times the top probability of its current
-distribution, rounded to two decimals; an optional override models the
-miscalibrated-confidence failure mode behind an experiment flag.
+post proportional to base^(1-lambda) * (prod_j prev_j)^(lambda/K), taken in
+log space, where a table's zero pools to 0 unless its factor's exponent is
+0 (0^0 = 1), and a row left with no mass is an error naming the teacher,
+the state and the round. A mock's self-reported confidence is 100 times
+the top probability of its current distribution, rounded to two decimals;
+an optional override models the miscalibrated-confidence failure mode
+behind an experiment flag.
 """
 
 from __future__ import annotations
@@ -165,16 +168,25 @@ def geometric_pool(
 ) -> Distribution:
     """base^(1-rate) * (prod_j prev_j)^(rate/K), renormalized.
 
+    Pooled in log space: a positive entry adds exponent * log p, a zero -inf
+    (the pooled entry is 0). At rate 1 the base's exponent is 0 and its
+    factor drops out, zeros too, as 0^0 = 1. A pooled row with no mass, as
+    from tables with disjoint supports, raises a ValueError.
+
     rate=0 returns base unchanged (bit-identical), so any number of rounds
     collapses to the independent round.
     """
     if rate == 0 or not previous:
         return base
     k = len(previous)
-    log_pool = (1 - rate) * np.log(base.probs)
-    for prev in previous:
-        log_pool = log_pool + (rate / k) * np.log(prev.probs)
-    return Distribution.from_weights(np.exp(log_pool - log_pool.max()))
+    with np.errstate(divide="ignore"):
+        log_pool = 0.0 if rate == 1 else (1 - rate) * np.log(base.probs)
+        for prev in previous:
+            log_pool = log_pool + (rate / k) * np.log(prev.probs)
+    top = log_pool.max()
+    if top == -np.inf:
+        raise ValueError("pooled row has no mass: its tables share no support")
+    return Distribution.from_weights(np.exp(log_pool - top))
 
 
 class MockTeacher(Teacher):
@@ -211,7 +223,12 @@ class MockTeacher(Teacher):
             return response
         dist = self.base_dist(state)
         if prev:
-            dist = geometric_pool(dist, prev, self.spec.revision_rate)
+            try:
+                dist = geometric_pool(dist, prev, self.spec.revision_rate)
+            except ValueError as exc:
+                raise ValueError(
+                    f"teacher {self.name!r}, state {state!r}, round {len(prior_rounds) + 1}: {exc}"
+                ) from None
         top = int(dist.probs.argmax())
         if self.spec.confidence_override is not None:
             confidence = float(self.spec.confidence_override)

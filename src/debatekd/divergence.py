@@ -6,12 +6,14 @@ returns the per-row values and, on request, the gradients in the student's
 logits (the teacher is a fixed target). JSD's gradient in the student q is
 the closed form (1 - beta) log(q/m): the two terms that reach q through the
 mixture m cancel the +(1 - beta) of q log q. Each value is a weighted sum of
-KL terms, written once per kind (`_terms`). `batch` takes one kind for all
-rows, or a kind per row: rows of one kind score each term over all rows,
-and a few rows that differ in kind (the mode fit's reverse-KL, JSD and
-forward-KL rows) stack every row's terms under one log ratio and one row
-sum, each row still bit-identical to its one-row call. Everything else
-wraps `batch`:
+KL terms, written once per kind (`_terms`), each with the log ratio
+np.log(a / b) repaired only where it is not finite (`_log_ratio`); JSD's
+identity rule compares P with Q only on rows whose two terms tie. `batch`
+takes one kind for all rows, or a kind per row: rows of one kind score
+each term over all rows, and a few rows that differ in kind (the mode
+fit's reverse-KL, JSD and forward-KL rows) stack every row's terms under
+one log ratio and one row sum, each row still bit-identical to its
+one-row call. Everything else wraps `batch`:
 `divergence_value` and `logit_gradient` at the validated
 `Distribution`/`LogitVector` edge, a central-difference oracle over all 2V
 stencil rows in one call, and two probes. The JSD probe checks the loss and
@@ -165,16 +167,27 @@ def _log_ratio(a: np.ndarray, b: np.ndarray, mixture: bool = False) -> np.ndarra
     """Entrywise log(a / b): 0 where a is 0, +inf where a positive a meets a
     null b, and log a - log b where a / b overflows (a denormal b).
 
+    np.log(a / b) is taken first and repaired only when it is not all
+    finite, which its sum tells in one pass (a finite log ratio is at most
+    about 1500 in size, far from overflowing the sum): a masked copy puts 0
+    wherever a is not positive; then, unless the sum was -inf (no +inf or
+    NaN entry), the overflow and null-mixture rules apply wherever a
+    positive a meets +inf. Rows without zeros or overflow pay for no mask,
+    zero-padded rows for one masked pass.
+
     With mixture, b is a mixture with a positive weight on a, so a null b
     beside a positive a is a mixture that underflowed to 0 (a is then at
     most 2^-1075 over its weight): its log ratio is bounded by the log of
     that weight and is taken as 0, which moves a's term by less than 1e-300.
     """
-    ratio = np.where(a > 0, a / b, 1.0)
-    out = np.log(ratio)
-    if ratio.max(initial=0.0) == math.inf:
+    out = np.log(a / b)
+    total = out.sum()
+    if math.isfinite(total):
+        return out
+    np.copyto(out, 0.0, where=~(a > 0))
+    if total != -math.inf and out.max() == math.inf:
         a, b = np.broadcast_arrays(a, b)  # one teacher row may serve all rows
-        over = (ratio == math.inf) & (b > 0)
+        over = (out == math.inf) & (b > 0)
         out[over] = np.log(a[over]) - np.log(b[over])
         if mixture:
             out[b == 0] = 0.0
@@ -211,23 +224,28 @@ def _terms(kind: DivergenceKind, P, Q) -> tuple:
 
 def _one_kind(kind: DivergenceKind, P: np.ndarray, Q: np.ndarray, grad: bool, runs=None):
     """`batch` for rows of one kind: each of its terms over all rows, then
-    the rest of its formula. JSD's rows with P == Q are 0. The logit
-    gradient is Q - P for forward KL; otherwise the first term's A is Q,
-    and it is that term's weight times Q (ell - E_Q ell) for its log ratio
-    ell, with +inf on the teacher zeros and -inf elsewhere on a reverse-KL
-    row of value +inf. With runs, only the row sums and dot products are
-    cut to each run's width.
+    the rest of its formula. JSD's rows with P == Q are 0: such a row's two
+    terms tie, so P is compared with Q only on rows whose terms tie (the
+    test `_mixed` uses). The logit gradient is Q - P for forward KL;
+    otherwise the first term's A is Q, and it is that term's weight times
+    Q (ell - E_Q ell) for its log ratio ell, with +inf on the teacher zeros
+    and -inf elsewhere on a reverse-KL row of value +inf. With runs, only
+    the row sums and dot products are cut to each run's width.
     """
     mixture = kind.name == "jsd"
     terms = _terms(kind, P, Q)
     weight, A, B = terms[0]
     ell = _log_ratio(A, B, mixture)
-    values = weight * _kl_rows(A, ell, runs)
-    for w, a, b in terms[1:]:
-        values += w * _kl_rows(a, _log_ratio(a, b, mixture), runs)
+    first = _kl_rows(A, ell, runs)
+    values = weight * first
     if mixture:
-        # identity holds exactly; the mixture would round otherwise
-        values[(P == Q).all(axis=-1)] = 0.0
+        _, (w, a, b) = terms
+        second = _kl_rows(a, _log_ratio(a, b, mixture), runs)
+        values += w * second
+        tied = first == second
+        if tied.any():
+            # identity holds exactly; the mixture would round otherwise
+            values[tied & (P == Q).all(axis=-1)] = 0.0
     if not grad:
         return values, None
     if kind.name == "forward_kl":
@@ -300,6 +318,7 @@ def _check_runs(kind, P: np.ndarray, Q: np.ndarray, runs) -> None:
         raise ValueError(f"runs cover {covered} rows, Q has {len(Q)}")
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def batch(
     kind: DivergenceKind | tuple[DivergenceKind, ...],
     P: np.ndarray,
@@ -332,6 +351,14 @@ def batch(
     once (`_mixed`). Either way each row is bit-identical to its one-row
     one-kind call.
 
+    Every log ratio is np.log(a / b), repaired only where it is not finite
+    (`_log_ratio`): 0 where a is 0, the overflow and null-mixture rules
+    where a positive a meets +inf. A JSD row with P == Q is exactly 0; its
+    two terms tie, so P is compared with Q only on rows whose terms tie.
+    Rows without zeros, like every training-step call, pay for neither
+    repair nor comparison. numpy's divide, invalid and overflow warnings
+    are off for the whole call.
+
     Each logit gradient is Q * (d - E_Q d) for the loss's gradient d in Q:
     Q - P for forward KL; d = log(Q/P) for reverse KL, +inf/-inf entries and
     value +inf on a teacher zero under a positive student (callers that want
@@ -341,12 +368,11 @@ def batch(
         raise ValueError(f"vocab mismatch: {P.shape[-1]} vs {Q.shape[-1]}")
     if runs is not None:
         _check_runs(kind, P, Q, runs)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if isinstance(kind, DivergenceKind):
-            return _one_kind(kind, P, Q, grad, runs)
-        if kind and kind.count(kind[0]) == len(kind) == len(Q):
-            return _one_kind(kind[0], P, Q, grad)
-        return _mixed(kind, P, Q, grad)
+    if isinstance(kind, DivergenceKind):
+        return _one_kind(kind, P, Q, grad, runs)
+    if kind and kind.count(kind[0]) == len(kind) == len(Q):
+        return _one_kind(kind[0], P, Q, grad)
+    return _mixed(kind, P, Q, grad)
 
 
 def divergence_value(kind: DivergenceKind, p: Distribution, q: Distribution) -> float:

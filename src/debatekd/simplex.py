@@ -69,7 +69,8 @@ class LogitVector:
 
     softmax_row is softmax_rows(logits), read-only and computed once at
     construction, so that every divergence taken at these logits (the K
-    teacher gradients of one token loss) shares one softmax.
+    teacher gradients of one token loss) shares one softmax. It subtracts
+    the max that validate_logits took, so the row's max is taken once.
     """
 
     logits: np.ndarray
@@ -81,9 +82,9 @@ class LogitVector:
             raise ValueError(f"logits must be 1-d, got shape {logits.shape}")
         if logits.size < 2:
             raise ValueError(f"vocab_size must be >= 2, got {logits.size}")
-        validate_logits(logits)
+        top = validate_logits(logits)
         logits.flags.writeable = False
-        row = softmax_rows(logits)
+        row = softmax_rows(logits, top)
         row.flags.writeable = False
         object.__setattr__(self, "logits", logits)
         object.__setattr__(self, "softmax_row", row)
@@ -122,9 +123,10 @@ def validate_probs(probs: np.ndarray) -> None:
         raise ValueError(f"probs sum to {total}, expected 1 within {_PROB_SUM_TOL}")
 
 
-def validate_logits(logits: np.ndarray) -> None:
+def validate_logits(logits: np.ndarray) -> float:
     """Raise ValueError unless every row (last axis) is finite with a spread
-    small enough that its softmax stays strictly positive.
+    small enough that its softmax stays strictly positive; return the
+    largest entry.
 
     Valid input passes one check: the spread over all its entries (for one
     row, the row spread), taken in Python floats so that a NaN or an
@@ -133,8 +135,9 @@ def validate_logits(logits: np.ndarray) -> None:
     largest row spread) or accept stacked rows that sit far apart. A finite
     row whose spread overflows has spread inf.
     """
-    if float(logits.max()) - float(logits.min()) <= _MAX_LOGIT_SPREAD:
-        return
+    top = float(logits.max())
+    if top - float(logits.min()) <= _MAX_LOGIT_SPREAD:
+        return top
     if not np.isfinite(logits).all():
         raise ValueError("logits contain non-finite entries")
     with np.errstate(over="ignore"):
@@ -144,11 +147,15 @@ def validate_logits(logits: np.ndarray) -> None:
             f"logit spread {spread:.1f} exceeds {_MAX_LOGIT_SPREAD}; "
             "softmax would underflow to exact zero"
         )
+    return top
 
 
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Softmax of every row (last axis) with max-subtraction; unvalidated."""
-    expz = np.exp(logits - logits.max(axis=-1, keepdims=True))
+def softmax_rows(logits: np.ndarray, top: float | None = None) -> np.ndarray:
+    """Softmax of every row (last axis) with max-subtraction; unvalidated.
+    A caller that already took the max of a single row passes it as top."""
+    if top is None:
+        top = logits.max(axis=-1, keepdims=True)
+    expz = np.exp(logits - top)
     return expz / expz.sum(axis=-1, keepdims=True)
 
 

@@ -23,27 +23,36 @@ from debatekd.weighting import multi_teacher_token_loss
 
 
 def geometric_pool(base: Distribution, previous: list[Distribution], rate: float) -> Distribution:
-    """base^(1-rate) * (prod_j prev_j)^(rate/K), renormalized; base itself
-    at rate 0 or with no previous round."""
+    """base^(1-rate) * (prod_j prev_j)^(rate/K), renormalized, in log space;
+    base itself at rate 0 or with no previous round. A row with no mass
+    raises a ValueError."""
     if rate == 0 or not previous:
         return base
     k = len(previous)
-    log_pool = (1 - rate) * np.log(base.probs)
-    for prev in previous:
-        log_pool = log_pool + (rate / k) * np.log(prev.probs)
-    return Distribution.from_weights(np.exp(log_pool - log_pool.max()))
+    with np.errstate(divide="ignore"):
+        log_pool = 0.0 if rate == 1 else (1 - rate) * np.log(base.probs)
+        for prev in previous:
+            log_pool = log_pool + (rate / k) * np.log(prev.probs)
+    top = log_pool.max()
+    if top == -np.inf:
+        raise ValueError("pooled row has no mass: its tables share no support")
+    return Distribution.from_weights(np.exp(log_pool - top))
 
 
-def respond(spec: MockTeacherSpec, state, previous: list[Distribution]) -> TeacherResponse:
-    """A mock teacher's response given the last round's tables (none in
-    round 1): its base row pooled with them, and 100 times the top
-    probability, to two decimals, unless the spec overrides it."""
+def respond(spec: MockTeacherSpec, state, previous: list[Distribution], round_: int) -> TeacherResponse:
+    """A mock teacher's response in round round_ given the last round's
+    tables (none in round 1): its base row pooled with them, and 100 times
+    the top probability, to two decimals, unless the spec overrides it. A
+    pooled row with no mass names the teacher, the state and the round."""
     try:
         dist = spec.base_table[state]
     except KeyError:
         raise ValueError(f"teacher {spec.name!r} has no row for state {state!r}")
     if previous:
-        dist = geometric_pool(dist, previous, spec.revision_rate)
+        try:
+            dist = geometric_pool(dist, previous, spec.revision_rate)
+        except ValueError as exc:
+            raise ValueError(f"teacher {spec.name!r}, state {state!r}, round {round_}: {exc}") from None
     top = int(dist.probs.argmax())
     if spec.confidence_override is not None:
         confidence = float(spec.confidence_override)
@@ -60,9 +69,9 @@ def run_debate(specs: list[MockTeacherSpec], state, rounds: int):
     if not specs:
         raise ValueError("need at least one teacher")
     final: list[TeacherResponse] = []
-    for _ in range(rounds):
+    for r in range(1, rounds + 1):
         previous = [resp.dist for resp in final]
-        final = [respond(spec, state, previous) for spec in specs]
+        final = [respond(spec, state, previous, r) for spec in specs]
     return tuple(resp.dist for resp in final), tuple(resp.utterance.confidence for resp in final)
 
 

@@ -1,4 +1,7 @@
 import inspect
+import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +41,46 @@ def brute_force_pool(base, prevs, rate):
     for prev in prevs:
         pooled = pooled * prev ** (rate / k)
     return pooled / pooled.sum()
+
+
+def per_entry_pool(base, prevs, rate):
+    """The geometric pool one entry at a time, with the zero rules written
+    out: an entry's log pool sums exponent * log p over its factors, the
+    base at exponent 1 - rate and each of the K previous tables at rate / K.
+    A factor whose exponent is 0 adds nothing (0^0 = 1: it drops out, zero
+    or not); a zero entry under a positive exponent adds -inf, so the pooled
+    entry is exactly 0. Renormalised after subtracting the largest log;
+    None when no entry keeps mass."""
+    k = len(prevs)
+    factors = [(base, 1 - rate)] + [(prev, rate / k) for prev in prevs]
+    logs = []
+    for i in range(len(base)):
+        total = 0.0
+        for table, exponent in factors:
+            if exponent == 0:
+                continue
+            total += -math.inf if table[i] == 0 else exponent * math.log(table[i])
+        logs.append(total)
+    top = max(logs)
+    if top == -math.inf:
+        return None
+    weights = [math.exp(x - top) for x in logs]
+    return np.array(weights) / math.fsum(weights)
+
+
+@st.composite
+def tables_with_zeros(draw, vocab, count):
+    """count probability rows at vocab, each with exact zeros at random
+    entries, one entry always kept. Entries keep at least 1e-6 of the
+    largest, so that no pooled entry underflows."""
+    rows = []
+    for _ in range(count):
+        row = draw(probability_vectors(vocab, vocab))
+        zeros = np.array(draw(st.lists(st.booleans(), min_size=vocab, max_size=vocab)))
+        zeros[draw(st.integers(0, vocab - 1))] = False
+        row = np.where(zeros, 0.0, row)
+        rows.append(Distribution(row / row.sum()))
+    return rows
 
 
 # Strategies of the adversarial transcript property, built once: building
@@ -334,6 +377,69 @@ class TestRunDebate:
             run_debate(list(fixture.teachers), 0, rounds=0)
         with pytest.raises(ValueError):
             run_debate([], 0, rounds=1)
+
+
+class TestTablesWithZeros:
+    """Pooling in log space: a zero entry pools to 0, a factor at exponent
+    0 drops out, and a row with no mass names its teacher, state and round;
+    no warning is raised on the way."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from([0.0, 0.5, 1.0]), st.integers(2, 8), st.integers(1, 3))
+    def test_pool_matches_the_per_entry_reference(self, data, rate, vocab, k):
+        base, *prevs = data.draw(tables_with_zeros(vocab, k + 1))
+        want = per_entry_pool(base.probs, [p.probs for p in prevs], rate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if want is None:
+                with pytest.raises(ValueError, match="^pooled row has no mass"):
+                    geometric_pool(base, prevs, rate)
+                return
+            got = geometric_pool(base, prevs, rate).probs
+        # exact zeros where the reference pools -inf, 1e-12 elsewhere
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from([0.0, 0.5, 1.0]), st.integers(1, 3), st.integers(1, 3))
+    def test_debate_matches_the_per_entry_reference(self, data, rate, rounds, k):
+        vocab = 4
+        tables = data.draw(tables_with_zeros(vocab, k))
+        teachers = [MockTeacher(MockTeacherSpec(f"t{j}", {"s": row}, (2, 2), rate))
+                    for j, row in enumerate(tables)]
+        final, failure = [row.probs for row in tables], None
+        for r in range(2, rounds + 1):
+            if rate == 0:
+                break
+            pooled = [per_entry_pool(row.probs, final, rate) for row in tables]
+            if any(p is None for p in pooled):
+                failure = f"teacher 't{pooled.index(None)}', state 's', round {r}: "
+                break
+            final = pooled
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if failure is not None:
+                with pytest.raises(ValueError, match=f"^{re.escape(failure)}pooled row has no mass"):
+                    run_debate(teachers, "s", rounds)
+                return
+            result = run_debate(teachers, "s", rounds)
+        for got, want in zip(result.post_dists, final):
+            np.testing.assert_allclose(got.probs, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("rate", [0.5, 1.0])
+    def test_a_zero_beside_a_uniform_teacher(self, rate):
+        half = MockTeacher(MockTeacherSpec("half", {0: Distribution([0.5, 0.5, 0, 0])}, (2, 2), rate))
+        flat = MockTeacher(MockTeacherSpec("flat", {0: Distribution.uniform(4)}, (2, 2), rate))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_debate([half, flat], 0, 2)
+        for dist in result.post_dists:
+            assert dist.probs.tolist() == [0.5, 0.5, 0.0, 0.0]
+
+    def test_disjoint_supports_name_the_teacher_state_and_round(self):
+        left = MockTeacher(MockTeacherSpec("left", {7: Distribution([0.5, 0.5, 0, 0])}, (2, 2)))
+        right = MockTeacher(MockTeacherSpec("right", {7: Distribution([0, 0, 0.5, 0.5])}, (2, 2)))
+        with pytest.raises(ValueError, match=r"^teacher 'left', state 7, round 2: pooled row has no mass"):
+            run_debate([left, right], 7, 3)
 
 
 class TestTwoFieldErrorCorrection:

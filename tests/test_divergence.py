@@ -697,7 +697,56 @@ SPECIAL_ROWS = (
     # a denormal teacher entry under a positive student: a finite reverse-KL
     # value through the overflow branch
     (np.array([0.5, 0.5, 5e-324]), np.array([0.25, 0.25, 0.5])),
+    # P == Q: JSD's two terms tie and the row is 0, though at beta 0.3 the
+    # mixture rounds away from P and the terms alone would not be
+    (np.array([0.1, 0.9, 0.0]), np.array([0.1, 0.9, 0.0])),
 )
+
+
+def frozen_log_ratio(a, b, mixture=False):
+    """The kernel's log ratio as it stood with its mask up front: the ratio
+    is 1 wherever a is not positive, then the overflow and null-mixture
+    rules wherever the ratio is +inf. The repair-after `_log_ratio` must
+    give these bytes."""
+    ratio = np.where(a > 0, a / b, 1.0)
+    out = np.log(ratio)
+    if ratio.max(initial=0.0) == math.inf:
+        a, b = np.broadcast_arrays(a, b)
+        over = (ratio == math.inf) & (b > 0)
+        out[over] = np.log(a[over]) - np.log(b[over])
+        if mixture:
+            out[b == 0] = 0.0
+    return out
+
+
+#: Entries that reach each of the log ratio's branches: zeros, denormals
+#: (whose ratios overflow and whose mixtures can round to 0), and normal
+#: numbers.
+_RATIO_ENTRIES = st.sampled_from([0.0, 5e-324, 1e-320, 2.5e-308, 1e-300, 1e-10, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def log_ratio_inputs(draw):
+    """(a, b, mixture): a and b at 1-4 rows of 1-6 entries, either one row
+    broadcast against the other, and b half the time the mixture w a + (1 -
+    w) c of a with a weight w and a third block c (null where w a rounds to
+    0 beside a null c), which is when the mixture rule is on."""
+    n, v = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+
+    def block():
+        return np.array(draw(st.lists(_RATIO_ENTRIES, min_size=n * v, max_size=n * v))).reshape(n, v)
+
+    a, b = block(), block()
+    mixture = draw(st.booleans())
+    if mixture:
+        w = draw(st.sampled_from([0.1, 0.3, 0.5, 0.9]))
+        b = w * a + (1 - w) * b
+    side = draw(st.sampled_from(["none", "a", "b"]))
+    if side == "a":
+        a = a[:1]
+    elif side == "b":
+        b = b[:1]
+    return a, b, mixture
 
 
 @st.composite
@@ -784,6 +833,34 @@ class TestRuns:
         P = np.full((teachers, 4), 0.25)
         with pytest.raises(ValueError, match=re.escape(problem)):
             batch(kind, P, np.full((3, 4), 0.25), runs=runs)
+
+
+class TestLogRatio:
+    """The repair-after log ratio against its frozen mask-first form."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(log_ratio_inputs(), st.booleans())
+    def test_matches_the_mask_first_form_byte_for_byte(self, inputs, rule):
+        a, b, mixture = inputs
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            want = frozen_log_ratio(a, b, mixture and rule)
+            got = divergence._log_ratio(a, b, mixture and rule)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("beta", [0.5, 0.3])
+    def test_identity_rows_under_one_broadcast_teacher(self, beta):
+        p, _ = SPECIAL_ROWS[-1]
+        plain = np.array([0.2, 0.3, 0.5])
+        # row 3 swaps p's entries: at beta 0.5 its terms tie, yet it is not 0
+        P, Q = p[None], np.array([p, plain, p, p[[1, 0, 2]]])
+        kind = jsd_kind(beta)
+        for kinds in (kind, (kind, FORWARD_KL, kind, kind)):
+            values, grads = batch(kinds, P, Q)
+            assert values[0] == values[2] == 0.0 < values[3]
+            for r in range(len(Q)):
+                alone, g = batch(kinds if kinds is kind else kinds[r], P, Q[r : r + 1])
+                assert values[r].tobytes() == alone.tobytes()
+                assert grads[r].tobytes() == g.tobytes()
 
 
 class TestMixedKinds:
