@@ -11,9 +11,12 @@ np.log(a / b) repaired only where it is not finite (`_log_ratio`); JSD's
 identity rule compares P with Q only on rows whose two terms tie. `batch`
 takes one kind for all rows, or a kind per row: rows of one kind score
 each term over all rows, and a few rows that differ in kind (the mode
-fit's reverse-KL, JSD and forward-KL rows) stack every row's terms under
-one log ratio and one row sum, each row still bit-identical to its
-one-row call. Everything else wraps `batch`:
+fit's reverse-KL, JSD and forward-KL rows) are scored by a `MixedRows`
+stack, which lays every row's terms out under one log ratio and one row
+sum, each row still bit-identical to its one-row call. The stack writes its
+teacher slots when it is built and only the student rows and mixtures when
+it is called, so a mode-fit descent builds one and calls it at every step;
+`batch` builds one for its call. Everything else wraps `batch`:
 `divergence_value` and `logit_gradient` at the validated
 `Distribution`/`LogitVector` edge, a central-difference oracle over all 2V
 stencil rows in one call, and two probes. The JSD probe checks the loss and
@@ -259,48 +262,106 @@ def _one_kind(kind: DivergenceKind, P: np.ndarray, Q: np.ndarray, grad: bool, ru
     return values, g
 
 
-def _mixed(kinds: tuple, P: np.ndarray, Q: np.ndarray, grad: bool):
-    """`batch` for a few rows that differ in kind.
+class MixedRows:
+    """A few rows that differ in kind, against fixed teacher rows, laid out
+    once and scored for any number of student blocks; a mode-fit descent
+    builds one and calls it at every step.
 
-    One stack holds every row's first term, in row order, then the rows'
-    further terms (JSD's second); one `_log_ratio` and one `_kl_rows` score
-    it, and each row's terms add in Python floats in `_one_kind`'s order.
-    `_one_kind`'s gradient rules then apply row by row: Q - P on a
-    forward-KL row, else the first term's weight times its row of one
-    `_centred` over all rows. A stack that may need its other rules is
-    scored row by row by `_one_kind` instead: one with a non-finite value,
-    which a null B under a positive A gives (JSD's mixture rule, reverse
-    KL's +inf rows), or with a JSD row whose two terms score one value, as
-    they do where P == Q. Each row is bit-identical to its one-row call.
+    kinds has one kind per student row; P is one teacher row for them all,
+    or one per kind. A (2, S, V) stack of A and B rows holds every row's
+    first KL term (`_terms`' forms), in row order, then JSD's second terms.
+    Building it writes the teacher slots; a call on an (n, V) block Q
+    writes only the student rows and the mixtures (1 - beta) q + beta p, by
+    basic row indexing, scores the stack with one `_log_ratio` and one
+    `_kl_rows`, and adds each row's terms in Python floats in `_one_kind`'s
+    order. The gradient rows are one `_centred` over all rows, times
+    1 - beta on a JSD row, and Q - P on a forward-KL row. A stack that may
+    need `_one_kind`'s other rules is scored row by row by `_one_kind`
+    instead: one with a non-finite value, which a null B under a positive A
+    gives (JSD's mixture rule, reverse KL's +inf rows), or with a JSD row
+    whose two terms score one value, as they do where P == Q. Each row is
+    bit-identical to its one-row call, and a call reads nothing an earlier
+    call wrote.
     """
-    n = len(Q)
-    if not kinds or len(kinds) != n or len(P) not in (1, n):
-        raise ValueError(f"{len(kinds)} kinds for {len(P)} teacher and {n} student rows")
-    teachers = [P[0]] * n if len(P) < n else P
-    rows = [_terms(kind, p, q) for kind, p, q in zip(kinds, teachers, Q)]
-    further = [(r, term) for r, row in enumerate(rows) for term in row[1:]]
-    stack = [row[0] for row in rows] + [term for _, term in further]
-    A, B = np.array([[a for _, a, _ in stack], [b for _, _, b in stack]])
-    L = _log_ratio(A, B)
-    K = _kl_rows(A, L).tolist()
-    # P == Q gives JSD's two terms one value
-    if not math.isfinite(sum(K)) or any(K[j] == K[r] for j, (r, _) in enumerate(further, n)):
-        scored = [_one_kind(kind, p[None], q[None], grad) for kind, p, q in zip(kinds, teachers, Q)]
-        values = np.concatenate([v for v, _ in scored])
-        return values, (np.concatenate([g for _, g in scored]) if grad else None)
-    sums = [w * k for (w, _, _), k in zip(stack, K)]
-    for j, (r, _) in enumerate(further, n):
-        sums[r] += sums[j]
-    values = np.array(sums[:n])
-    if not grad:
-        return values, None
-    G = _centred(Q, L[:n])
-    for r, (kind, (w, _, _)) in enumerate(zip(kinds, stack)):
-        if kind.name == "forward_kl":
-            np.subtract(Q[r], teachers[r], out=G[r])
-        else:
-            G[r] *= w
-    return values, G
+
+    def __init__(self, kinds: Sequence[DivergenceKind], P: np.ndarray):
+        n = len(kinds)
+        if not n or len(P) not in (1, n):
+            raise ValueError(f"{n} kinds for {len(P)} teacher rows")
+        self.kinds = tuple(kinds)
+        slots = n + sum(kind.name == "jsd" for kind in kinds)
+        self._shape = (n, P.shape[-1])
+        self._stack = np.empty((2, slots, P.shape[-1]))
+        A, B = self._stack
+        self._weights = [1.0] * slots
+        # teacher rows (views of their slots); rows whose student is A, and
+        # forward-KL rows, whose student is B; JSD's (row, second-term slot,
+        # beta * p, 1 - beta)
+        self._teachers, self._student_a, self._forward, self._mixtures = [], [], [], []
+        for r, kind in enumerate(kinds):
+            p = P[0] if len(P) == 1 else P[r]
+            if kind.name == "forward_kl":
+                A[r] = p
+                self._teachers.append(A[r])
+                self._forward.append(r)
+            elif kind.name == "reverse_kl":
+                B[r] = p
+                self._teachers.append(B[r])
+                self._student_a.append(r)
+            else:
+                j = n + len(self._mixtures)
+                A[j] = p
+                self._teachers.append(A[j])
+                self._student_a.append(r)
+                self._weights[r], self._weights[j] = 1 - kind.beta, kind.beta
+                self._mixtures.append((r, j, kind.beta * A[j], 1 - kind.beta))
+
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def __call__(self, Q: np.ndarray, grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+        """The values of Q's rows under their kinds, and with grad their
+        logit gradients (else None), as `batch(kinds, P, Q, grad)`."""
+        return self._score(Q, grad)
+
+    def _score(self, Q: np.ndarray, grad: bool):
+        if Q.shape != self._shape:
+            raise ValueError(f"student rows of shape {Q.shape}, the stack takes {self._shape}")
+        A, B = self._stack
+        for r in self._student_a:
+            A[r] = Q[r]
+        for r in self._forward:
+            B[r] = Q[r]
+        for r, j, bp, c in self._mixtures:
+            m = np.multiply(Q[r], c, out=B[r])
+            m += bp
+            B[j] = m
+        L = _log_ratio(A, B)
+        K = _kl_rows(A, L).tolist()
+        # P == Q gives JSD's two terms one value
+        if not math.isfinite(sum(K)) or any(K[j] == K[r] for r, j, _, _ in self._mixtures):
+            scored = [_one_kind(kind, p[None], q[None], grad)
+                      for kind, p, q in zip(self.kinds, self._teachers, Q)]
+            values = np.concatenate([v for v, _ in scored])
+            return values, (np.concatenate([g for _, g in scored]) if grad else None)
+        sums = [w * k for w, k in zip(self._weights, K)]
+        for r, j, _, _ in self._mixtures:
+            sums[r] += sums[j]
+        values = np.array(sums[: len(Q)])
+        if not grad:
+            return values, None
+        G = _centred(Q, L[: len(Q)])
+        for r, _, _, c in self._mixtures:
+            G[r] *= c
+        for r in self._forward:
+            np.subtract(Q[r], self._teachers[r], out=G[r])
+        return values, G
+
+
+def _mixed(kinds: tuple, P: np.ndarray, Q: np.ndarray, grad: bool):
+    """`batch` for a few rows that differ in kind: a `MixedRows` stack
+    built for the one call."""
+    if not kinds or len(kinds) != len(Q) or len(P) not in (1, len(Q)):
+        raise ValueError(f"{len(kinds)} kinds for {len(P)} teacher and {len(Q)} student rows")
+    return MixedRows(kinds, P)._score(Q, grad)
 
 
 def _check_runs(kind, P: np.ndarray, Q: np.ndarray, runs) -> None:
@@ -348,7 +409,10 @@ def batch(
     kind, a tuple of equal kinds included, score those terms one at a time
     over all rows (`_one_kind`); rows that differ in kind, a few at a time
     as in a mode-fit step, stack every row's terms and score the stack at
-    once (`_mixed`). Either way each row is bit-identical to its one-row
+    once, through a `MixedRows` stack built for the call (`_mixed`). A
+    caller that scores many student blocks against the same kinds and
+    teachers, as a mode-fit descent does, builds that stack once and calls
+    it instead. Either way each row is bit-identical to its one-row
     one-kind call.
 
     Every log ratio is np.log(a / b), repaired only where it is not finite

@@ -27,7 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import FORWARD_KL, REVERSE_KL, DivergenceKind, batch, divergence_value, jsd_kind
+from .divergence import (
+    FORWARD_KL,
+    REVERSE_KL,
+    DivergenceKind,
+    MixedRows,
+    batch,
+    divergence_value,
+    jsd_kind,
+)
 from .simplex import (
     Distribution,
     LogitVector,
@@ -50,6 +58,8 @@ class Grid:
     bins: int = 256
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"grid bounds must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise ValueError("grid interval is empty")
         if self.bins < 8:
@@ -121,7 +131,8 @@ def _normal_tail(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     OPENBLAS_CORETYPE=Haswell or Prescott (ROADMAP item 1).
     """
     powers = np.empty((11, z.size))
-    t = np.minimum(np.abs(z).reshape(-1), _T_CAP, out=powers[1])
+    t = np.abs(z.reshape(-1), out=powers[1])
+    np.minimum(t, _T_CAP, out=t)
     powers[0] = 1.0
     np.multiply(t, t, out=powers[2])
     np.multiply(powers[1:3], powers[2], out=powers[3:5])
@@ -172,10 +183,12 @@ class BinnedMixture:
         centers = np.asarray(self.centers, dtype=np.float64)
         if weights.shape != centers.shape or weights.ndim != 1:
             raise ValueError("weights and centers must be matching 1-d vectors")
-        if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("mixture weights must be positive and sum to 1")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not (np.all(weights > 0) and abs(weights.sum() - 1.0) <= 1e-12):
+            raise ValueError(f"mixture weights must be positive and sum to 1, got {weights}")
+        if not np.isfinite(centers).all():
+            raise ValueError(f"mixture centers must be finite, got {centers}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if centers.size > 1:
             gaps = np.diff(np.sort(centers))
             if np.min(gaps) < 6 * self.sigma:
@@ -285,17 +298,23 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _costs_and_gradients(
-    kinds: tuple[DivergenceKind, ...], P: np.ndarray, edges: np.ndarray, x: np.ndarray
+    kinds: tuple[DivergenceKind, ...],
+    P: np.ndarray,
+    edges: np.ndarray,
+    x: np.ndarray,
+    stack: MixedRows | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cost under kinds[r] of the student x[r] = (mean, log_width) against
     the teacher row P, and its exact gradient in x[r], for every row r.
 
-    One _normal_tail call, one validate_probs and one `batch` call, with a
-    kind per row, cover the block; rows never mix, so each row equals a
-    block of its own, bit for bit on the OpenBLAS kernel the digests were
-    pinned on; its matrix products (`dlog @ G` and those in _normal_tail
-    and `batch`) may block by the row count on other kernels (ROADMAP
-    item 1). An invalid student raises RestrictedStudent's ValueError.
+    One _normal_tail call, one validate_probs and one kernel call cover the
+    block: stack, a `MixedRows` prepared for kinds and P (a descent builds
+    one for its rows), scores it, else one `batch` call with a kind per
+    row. Rows never mix, so each row equals a block of its own, bit for bit
+    on the OpenBLAS kernel the digests were pinned on; its matrix products
+    (`dlog @ G` and those in _normal_tail and the kernel) may block by the
+    row count on other kernels (ROADMAP item 1). An invalid student raises
+    RestrictedStudent's ValueError.
     """
     if not np.isfinite(x).all():
         raise ValueError("student parameters must be finite")
@@ -306,7 +325,7 @@ def _costs_and_gradients(
     tail, gauss = _normal_tail(z)
     mass = _bin_masses(z, tail)
     totals = mass.sum(axis=-1, keepdims=True)
-    if not (totals > 0).all():
+    if not totals.min() > 0:
         raise ValueError("student has no mass on the grid")
     Q = mass / totals
     validate_probs(Q)
@@ -318,7 +337,7 @@ def _costs_and_gradients(
     np.multiply(z, gauss, out=edge_terms[:, 1])
     dmass = edge_terms[..., :-1] - edge_terms[..., 1:]
     dlog = dmass / np.where(mass > 0, mass, math.inf)[:, None]  # 0 where mass underflowed
-    values, G = batch(kinds, P, Q)
+    values, G = batch(kinds, P, Q) if stack is None else stack(Q)
     grads = (dlog @ G[..., None])[..., 0]
     grads *= _INV_SQRT_2PI
     grads[:, 0] /= width[:, 0]
@@ -336,41 +355,70 @@ def _descend(
     steps evaluate the unfinished rows as one block. A row whose cost or
     gradient is not finite halves its learning rate and restarts alone, up
     to 5 times; then ModeFitError carries the costs of its last attempt.
+
+    The descent builds one `MixedRows` stack for its rows and records each
+    row's costs and iterates in (steps + 1, R) and (steps + 1, R, 2) tables
+    at the row's own count. While no row has finished, `live` is the full
+    slice and the stack scores the block; while every row is also at one
+    count (every step of a descent without restarts) the tables take the
+    step whole. Once a row has finished the others step as a list, scored
+    by one `batch` call.
     """
+    if not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and > 0, got {lr}")
     P = floor_and_renormalize(teacher.distribution(), _TEACHER_FLOOR).probs[None]
     edges = teacher.grid.edges
+    n = len(kinds)
+    stack = MixedRows(kinds, P)
     start = np.array([init.mean, init.log_width])
-    params = np.tile(start, (len(kinds), 1))
-    attempts = [0] * len(kinds)
-    step_sizes = np.tile(lr * _PRECONDITIONER, (len(kinds), 1))
-    costs: list[list[float]] = [[] for _ in kinds]
-    traces: list[list[np.ndarray]] = [[] for _ in kinds]
+    params = np.tile(start, (n, 1))
+    attempts = [0] * n
+    step_sizes = np.tile(lr * _PRECONDITIONER, (n, 1))
+    costs, traces = np.empty((steps + 1, n)), np.empty((steps + 1, n, 2))
+    count = [0] * n
     results: dict[int, FitResult] = {}
-    while len(results) < len(kinds):
-        live = [r for r in range(len(kinds)) if r not in results]
-        x = params[live]
-        values, grads = _costs_and_gradients(tuple(kinds[r] for r in live), P, edges, x)
+    live: slice | list[int] = slice(None)  # the unfinished rows
+    while len(results) < n:
         # every live row steps; a row that finishes or restarts discards its step
-        params[live] = x - step_sizes[live] * grads
-        for r, row, cost, steady in zip(live, x, values.tolist(),
-                                        np.isfinite(grads).all(axis=1).tolist()):
+        whole = isinstance(live, slice)
+        if whole:
+            x = params
+            values, grads = _costs_and_gradients(kinds, P, edges, x, stack)
+            params = x - step_sizes * grads
+        else:
+            x = params[live]
+            values, grads = _costs_and_gradients(tuple(kinds[r] for r in live), P, edges, x)
+            params[live] = x - step_sizes[live] * grads
+        # the step whole: every row at one count, none finishing, all finite
+        t = count[0]
+        if (whole and t < steps and count.count(t) == n
+                and np.isfinite(values).all() and np.isfinite(grads).all()):
+            costs[t], traces[t] = values, x
+            count = [t + 1] * n
+            continue
+        steady = np.isfinite(grads).all(axis=1).tolist()
+        for r, row, cost, ok in zip(range(n) if whole else live, x, values.tolist(), steady):
             if math.isfinite(cost):
-                costs[r].append(cost)
-                traces[r].append(row)
-                if len(costs[r]) > steps:
+                costs[count[r], r], traces[count[r], r] = cost, row
+                count[r] += 1
+                if count[r] > steps:
                     student = RestrictedStudent(*row.tolist())
                     q = student.distribution(teacher.grid)
-                    results[r] = FitResult(student, np.asarray(costs[r]),
-                                           mode_masses(q, teacher), np.asarray(traces[r]))
+                    results[r] = FitResult(student, costs[:, r].copy(),
+                                           mode_masses(q, teacher), traces[:, r].copy())
                     continue
-                if steady:
+                if ok:
                     continue
             attempts[r] += 1
             if attempts[r] == 6:
-                raise ModeFitError(costs[r] or [cost])
+                raise ModeFitError(costs[: count[r], r].tolist() or [cost])
             step_sizes[r] = lr / 2 ** attempts[r] * _PRECONDITIONER
-            params[r], costs[r], traces[r] = start, [], []
-    return [results[r] for r in range(len(kinds))]
+            params[r], count[r] = start, 0
+        if results:
+            live = [r for r in range(n) if r not in results]
+    return [results[r] for r in range(n)]
 
 
 def fit(
@@ -388,7 +436,9 @@ def fit(
     The teacher distribution is floored at 1e-12 so reverse KL stays finite
     no matter where the student wanders. A non-finite cost or gradient
     anywhere in the descent halves the learning rate and restarts, up to 5
-    times; then ModeFitError carries the costs of the last attempt.
+    times; then ModeFitError carries the costs of the last attempt. steps
+    that are not an integer >= 0, or an lr that is not finite and positive,
+    raise ValueError.
     """
     if init is None:
         init = RestrictedStudent.neutral(teacher)
@@ -437,7 +487,8 @@ def coverage_ordering(teacher: BinnedMixture, steps: int = 600) -> dict[str, Fit
 
     Returns results keyed 'rev', 'jsd:0.5', 'fwd', each bit-identical to
     `fit(kind, teacher, steps=steps, lr=0.2)`; the secondary-mode mass is
-    strictly ordered rev < jsd < fwd on separated two-mode teachers.
+    strictly ordered rev < jsd < fwd on separated two-mode teachers. steps
+    that are not an integer >= 0 raise ValueError.
     """
     kinds = (REVERSE_KL, jsd_kind(0.5), FORWARD_KL)
     fits = _descend(kinds, teacher, RestrictedStudent.neutral(teacher), steps, 0.2)

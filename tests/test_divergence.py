@@ -905,6 +905,73 @@ class TestMixedKinds:
             batch((FORWARD_KL, REVERSE_KL), np.full((3, 3), 1 / 3), Q)
 
 
+def with_zero(row: np.ndarray) -> np.ndarray:
+    """row with its first entry set to 0, renormalised."""
+    row = row.copy()
+    row[0] = 0.0
+    assume(row.sum() > 0)
+    return row / row.sum()
+
+
+@st.composite
+def reused_stacks(draw, one_teacher):
+    """(kinds, P, blocks): a kind each for 1-5 rows at one vocabulary, one
+    teacher row for them all or one each (half of them with a zero first
+    entry), and a run of student blocks for one stack to score, in drawn
+    order: 0-3 blocks of `sweep_rows` students, one block whose every row
+    is its teacher (JSD's two terms tie) and one whose every student has a
+    zero first entry (0 against a teacher zero, +inf forward KL against a
+    positive teacher entry)."""
+    vocab, n = draw(st.integers(3, 32)), draw(st.integers(1, 5))
+    kinds = tuple(draw(st.sampled_from(ALL_KINDS)) for _ in range(n))
+    teachers = []
+    for _ in range(1 if one_teacher else n):
+        p = draw(sweep_rows(vocab))[0]
+        teachers.append(with_zero(p) if draw(st.booleans()) else p)
+    P = np.array(teachers)
+    rows = np.broadcast_to(P, (n, vocab))
+    blocks = [np.array([draw(sweep_rows(vocab))[1] for _ in range(n)])
+              for _ in range(draw(st.integers(0, 3)))]
+    blocks.append(rows.copy())
+    blocks.append(np.array([with_zero(draw(sweep_rows(vocab))[1]) for _ in range(n)]))
+    return kinds, P, draw(st.permutations(blocks))
+
+
+class TestMixedRows:
+    """One prepared stack scores any run of student blocks as fresh calls."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("one_teacher", [True, False], ids=["one-teacher", "n-teachers"])
+    def test_a_reused_stack_scores_each_block_as_fresh_calls(self, one_teacher, data):
+        kinds, P, blocks = data.draw(reused_stacks(one_teacher))
+        stack = divergence.MixedRows(kinds, P)
+        for Q in blocks:
+            grad = data.draw(st.booleans())
+            values, g = stack(Q, grad)
+            fresh, fresh_g = batch(kinds, P, Q, grad)
+            assert values.tobytes() == fresh.tobytes()
+            assert (g is None) == (fresh_g is None) == (not grad)
+            if grad:
+                assert g.tobytes() == fresh_g.tobytes()
+            for r, kind in enumerate(kinds):
+                alone, alone_g = batch(kind, P[r : r + 1] if len(P) > 1 else P, Q[r : r + 1], grad)
+                assert values[r].tobytes() == alone.tobytes()
+                if grad:
+                    assert g[r].tobytes() == alone_g.tobytes()
+
+    def test_refuses_rows_it_was_not_built_for(self):
+        P = np.full((2, 3), 1 / 3)
+        with pytest.raises(ValueError, match=re.escape("0 kinds for 2 teacher rows")):
+            divergence.MixedRows((), P)
+        with pytest.raises(ValueError, match=re.escape("3 kinds for 2 teacher rows")):
+            divergence.MixedRows((FORWARD_KL, REVERSE_KL, FORWARD_KL), P)
+        stack = divergence.MixedRows((FORWARD_KL, jsd_kind(0.5)), P)
+        for Q in (np.full((3, 3), 1 / 3), np.full((2, 4), 1 / 4)):
+            with pytest.raises(ValueError, match="the stack takes \\(2, 3\\)"):
+                stack(Q)
+
+
 class TestAgainstMpReference:
     """Values and logit gradients against 60-digit references.
 

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -14,6 +15,7 @@ from debatekd import modes
 from debatekd.divergence import (
     FORWARD_KL,
     REVERSE_KL,
+    MixedRows,
     batch,
     divergence_value,
     jsd_kind,
@@ -138,6 +140,30 @@ class TestBinnedMixture:
         grid = Grid(lo=-10, hi=10)
         with pytest.raises(ValueError):
             BinnedMixture(np.array([0.7, 0.4]), np.array([-4.0, 4.0]), 1.0, grid)
+
+    @pytest.mark.parametrize(
+        "weights, centers, sigma, problem",
+        [
+            ([math.nan, 0.4], [-4.0, 4.0], 1.0, "mixture weights must be positive and sum to 1"),
+            ([0.6, 0.4], [-4.0, math.nan], 1.0, "mixture centers must be finite"),
+            ([0.6, 0.4], [-4.0, 4.0], math.nan, "sigma must be positive and finite, got nan"),
+            ([0.6, 0.4], [-4.0, 4.0], math.inf, "sigma must be positive and finite, got inf"),
+        ],
+        ids=["nan-weight", "nan-center", "nan-sigma", "inf-sigma"],
+    )
+    def test_rejects_non_finite_parameters(self, weights, centers, sigma, problem):
+        grid = Grid(lo=-10, hi=10)
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            BinnedMixture(np.array(weights), np.array(centers), sigma, grid)
+
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 14.0), (-14.0, math.inf), (math.nan, 1.0)])
+    def test_grid_rejects_non_finite_bounds(self, lo, hi):
+        with pytest.raises(ValueError, match="grid bounds must be finite"):
+            Grid(lo=lo, hi=hi)
+
+    def test_two_mode_rejects_a_nan_alpha(self):
+        with pytest.raises(ValueError, match="mixture weights must be positive and sum to 1"):
+            BinnedMixture.two_mode(alpha=math.nan)
 
 
 #: The smallest normal double: below it a relative bound says nothing.
@@ -277,6 +303,26 @@ class TestRestrictedFit:
         assert res.cost_series.size == 51
         assert res.param_trace.shape == (51, 2)
 
+    @pytest.mark.parametrize(
+        "kwargs, problem",
+        [
+            ({"steps": -3}, "steps must be an integer >= 0, got -3"),
+            ({"steps": 2.5}, "steps must be an integer >= 0, got 2.5"),
+            ({"lr": math.nan}, "lr must be finite and > 0, got nan"),
+            ({"lr": math.inf}, "lr must be finite and > 0, got inf"),
+            ({"lr": -0.5}, "lr must be finite and > 0, got -0.5"),
+            ({"lr": 0.0}, "lr must be finite and > 0, got 0.0"),
+        ],
+        ids=["negative-steps", "fractional-steps", "nan-lr", "inf-lr", "negative-lr", "zero-lr"],
+    )
+    def test_rejects_bad_steps_and_rates(self, kwargs, problem):
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            fit(REVERSE_KL, BinnedMixture.two_mode(), **kwargs)
+
+    def test_coverage_ordering_rejects_negative_steps(self):
+        with pytest.raises(ValueError, match=re.escape("steps must be an integer >= 0, got -1")):
+            coverage_ordering(BinnedMixture.two_mode(), steps=-1)
+
     def test_unrecoverable_descent_aborts_with_trace(self):
         teacher = BinnedMixture.two_mode(alpha=0.6, separation=8.0)
         # a sliver of a student at the grid edge leaves most bins with zero
@@ -410,8 +456,38 @@ class TestCoverageOrdering:
             assert got.student == alone.student
 
     def test_one_kernel_call_per_descent_step(self, monkeypatch):
-        """The three rows of a step are scored by one `batch` call, with a
-        kind per row: 51 calls for the 51 evaluations of a 50-step descent."""
+        """The descent builds one `MixedRows` stack for its three rows, and
+        each step scores them with one call on it, all three kinds at once:
+        51 calls for the 51 evaluations of a 50-step descent, and no
+        `batch` call, since no row restarts."""
+        built, calls = [], []
+
+        class Counted(MixedRows):
+            def __init__(self, kinds, P):
+                built.append(tuple(kinds))
+                super().__init__(kinds, P)
+
+            def __call__(self, Q, grad=True):
+                calls.append((self.kinds, len(Q)))
+                return super().__call__(Q, grad)
+
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a descent without restarts called batch")
+
+        monkeypatch.setattr(modes, "MixedRows", Counted)
+        monkeypatch.setattr(modes, "batch", no_batch)
+        coverage_ordering(BinnedMixture.two_mode(), steps=50)
+        assert built == [KINDS]
+        assert calls == [(KINDS, 3)] * 51
+
+    def test_restarted_row_equals_its_single_fit_byte_for_byte(self, monkeypatch):
+        """A descent that takes the restart path of its step tables: from a
+        wide student far left at lr 40 the forward-KL row meets a
+        non-finite step and restarts at half the rate, the other two rows
+        finish first, and the forward-KL row takes its last 2 steps alone,
+        through `batch`. Every row equals its one-row fit."""
+        teacher = BinnedMixture.two_mode(0.6, 8.0)
+        init = RestrictedStudent(-12.0, math.log(4.0))
         calls = []
 
         def counted(kind, *args, **kwargs):
@@ -419,8 +495,15 @@ class TestCoverageOrdering:
             return batch(kind, *args, **kwargs)
 
         monkeypatch.setattr(modes, "batch", counted)
-        coverage_ordering(BinnedMixture.two_mode(), steps=50)
-        assert calls == [KINDS] * 51
+        rows = modes._descend(KINDS, teacher, init, steps=60, lr=40.0)
+        assert calls == [(FORWARD_KL,)] * 2
+        monkeypatch.undo()
+        for kind, got in zip(KINDS, rows):
+            alone = fit(kind, teacher, init, steps=60, lr=40.0)
+            assert got.cost_series.tobytes() == alone.cost_series.tobytes()
+            assert got.param_trace.tobytes() == alone.param_trace.tobytes()
+            assert got.mode_masses.tobytes() == alone.mode_masses.tobytes()
+            assert got.student == alone.student
 
     def test_default_config_ordering(self):
         teacher = BinnedMixture.two_mode(alpha=0.6, separation=8.0)
